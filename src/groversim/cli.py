@@ -30,11 +30,13 @@ from .grover import (
 )
 from .reversible import (
     ReversibleCircuit,
-    check_bijection,
-    index_to_bits,
+    _is_permutation,
+    circuit_to_permutation,
     inverse_circuit,
     run_circuit,
 )
+# Unused here, but bench/spans.py patches both under these names.
+from .reversible import check_bijection, index_to_bits  # noqa: F401
 from .state import DEFAULT_MAX_QUBITS, ResourceLimitError
 
 
@@ -67,6 +69,16 @@ def _iterations_arg(text: str):
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}") from None
+
+
+def _seed_arg(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _parse_bitstring(text: str) -> list[int]:
@@ -135,13 +147,8 @@ def cmd_classical(args: argparse.Namespace) -> int:
 
 def cmd_circuit_verify(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.path)
-    cap = _qubit_cap()
-    if circuit.wires > cap:
-        raise ResourceLimitError(
-            f"verifying a {circuit.wires}-wire circuit enumerates 2**{circuit.wires} inputs; cap is {cap}"
-        )
-    table = [run_circuit(circuit, index_to_bits(x, circuit.wires)) for x in range(1 << circuit.wires)]
-    verdict = "true" if check_bijection(table) else "false"
+    perm = circuit_to_permutation(circuit, _qubit_cap())
+    verdict = "true" if _is_permutation(perm) else "false"
     print(f"reversible: {verdict}")
     return 0
 
@@ -181,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated marked basis indices")
     run_p.add_argument("--iterations", type=_iterations_arg, default="auto", metavar="T",
                        help="iteration count or 'auto' for the optimum (default: auto)")
-    run_p.add_argument("--seed", type=int, default=0, metavar="S",
+    run_p.add_argument("--seed", type=_seed_arg, default=0, metavar="S",
                        help="measurement seed (default: 0)")
     run_p.add_argument("--trace", metavar="PATH",
                        help="also write a step-by-step trace document to PATH")
@@ -209,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="uniform draws per trial")
     classical_p.add_argument("--trials", type=int, default=100000, metavar="M",
                              help="Monte Carlo trials (default: 100000)")
-    classical_p.add_argument("--seed", type=int, default=0, metavar="S",
+    classical_p.add_argument("--seed", type=_seed_arg, default=0, metavar="S",
                              help="sampling seed (default: 0)")
     classical_p.set_defaults(handler=cmd_classical)
 

@@ -103,8 +103,11 @@ def render_trace_document(doc: TraceDocument) -> str:
 
 
 def _load_json(text: str, where: str) -> Any:
+    def reject_constant(literal: str) -> Any:
+        raise ValueError(f"{where}: {literal} is not a finite number")
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -136,6 +136,11 @@ def index_to_bits(value: int, width: int) -> list[int]:
     return [(value >> i) & 1 for i in range(width)]
 
 
+def _is_permutation(values: np.ndarray) -> bool:
+    """True iff values holds each index 0..len(values)-1 exactly once."""
+    return bool((np.bincount(values, minlength=len(values)) == 1).all())
+
+
 def check_bijection(table: Sequence[Sequence[int]]) -> bool:
     """True iff a full truth table (one output row per input) is a bijection.
 
@@ -147,15 +152,12 @@ def check_bijection(table: Sequence[Sequence[int]]) -> bool:
     width = len(table[0])
     if len(table) != 1 << width:
         raise ValueError(f"table has {len(table)} rows, expected {1 << width} for width {width}")
-    seen = set()
-    for row in table:
+    values = np.empty(len(table), dtype=np.int64)
+    for x, row in enumerate(table):
         if len(row) != width:
             raise ValueError(f"row {list(row)} does not have width {width}")
-        value = bits_to_index(row)
-        if value in seen:
-            return False
-        seen.add(value)
-    return True
+        values[x] = bits_to_index(row)
+    return _is_permutation(values)
 
 
 def circuit_to_permutation(
@@ -163,8 +165,9 @@ def circuit_to_permutation(
 ) -> np.ndarray:
     """Permutation p over basis indices with p[x] = circuit output on x.
 
-    The result is recounted for bijectivity before being returned, so a
-    caller can feed it straight to apply_permutation.
+    Every gate flips its target under a condition that does not read the
+    target, so the table is a bijection by construction and is not
+    recounted here; `circuit verify` and apply_permutation check it.
     """
     if circuit.wires > max_wires:
         raise ResourceLimitError(f"circuit has {circuit.wires} wires; cap is {max_wires}")
@@ -175,7 +178,4 @@ def circuit_to_permutation(
         for c in gate.controls:
             condition &= ((values >> c) & 1).astype(bool)
         values = np.where(condition, values ^ (1 << gate.target), values)
-    counts = np.bincount(values, minlength=size)
-    if int(counts.max()) != 1:
-        raise RuntimeError("gate application produced a non-bijective table")
     return values

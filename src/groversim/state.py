@@ -102,7 +102,8 @@ def measure(state: AmplitudeVector, rng: RandomSource) -> tuple[int, AmplitudeVe
     Parameters
     ----------
     state : AmplitudeVector
-        Vector to measure; its norm must be 1 within 1e-6.
+        Vector to measure; its amplitudes must be finite and its norm 1
+        within 1e-6.
     rng : int or numpy.random.Generator
         Integer seeds create a fresh PCG64 generator, so the same seed on
         the same state always reproduces the same outcome.
@@ -113,6 +114,8 @@ def measure(state: AmplitudeVector, rng: RandomSource) -> tuple[int, AmplitudeVe
         The sampled index and the post-measurement vector, which carries
         the measured amplitude's phase on the single surviving entry.
     """
+    if not np.isfinite(state.amps).all():
+        raise ValueError("cannot measure: the amplitudes include NaN or infinity")
     total = norm(state)
     if abs(total - 1.0) > NORM_TOLERANCE:
         raise ValueError(f"cannot measure: norm {total} differs from 1 by more than {NORM_TOLERANCE}")

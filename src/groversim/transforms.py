@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
-
 import numpy as np
 
 from .state import AmplitudeVector, ResourceLimitError, apply_phase_flip
@@ -21,23 +19,11 @@ from .state import AmplitudeVector, ResourceLimitError, apply_phase_flip
 MAX_NAIVE_QUBITS = 12
 
 
-class SignRuleEntry(NamedTuple):
-    """One cell of the sign table: indices q, r and their +-1 sign."""
-
-    q: int
-    r: int
-    sign: int
-
-
 def wh_sign(q: int, r: int) -> int:
     """+1 if q AND r has even popcount, -1 if odd."""
     if q < 0 or r < 0:
         raise ValueError(f"basis indices must be nonnegative, got q={q}, r={r}")
     return -1 if (q & r).bit_count() & 1 else 1
-
-
-def sign_rule_entry(q: int, r: int) -> SignRuleEntry:
-    return SignRuleEntry(q, r, wh_sign(q, r))
 
 
 def wh_matrix_entry(n: int, q: int, r: int) -> float:

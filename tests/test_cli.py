@@ -5,7 +5,7 @@ import pytest
 
 from groversim import parse_circuit_document, parse_trace_document, render_circuit_document
 from groversim.cli import main
-from groversim.reversible import adder_circuit, inverse_circuit
+from groversim.reversible import Gate, ReversibleCircuit, adder_circuit, inverse_circuit
 
 RUN_GOLDEN = (
     "iterations: 1\n"
@@ -102,6 +102,17 @@ def test_run_bad_iterations_flag_exits_2(capsys):
     assert "integer or 'auto'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["grover", "run", "--qubits", "2", "--marked", "2"],
+    ["classical", "--size", "4", "--iterations", "1"],
+])
+def test_negative_seed_flag_exits_2(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--seed", "-1"])
+    assert info.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 def test_run_bad_marked_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["grover", "run", "--qubits", "2", "--marked", "2;3"])
@@ -194,6 +205,28 @@ def test_circuit_verify_cap_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "2")
     assert main(["circuit", "verify", write_adder(tmp_path)]) == 3
     assert "cap is 2" in capsys.readouterr().err
+
+
+def test_circuit_verify_sixteen_wires(tmp_path, capsys):
+    rng = np.random.default_rng(16)
+    gates = []
+    for _ in range(40):
+        controls = int(rng.integers(3))
+        wires = [int(w) for w in rng.choice(16, size=1 + controls, replace=False)]
+        gates.append(Gate(("NOT", "CNOT", "TOFFOLI")[controls], wires[0], tuple(wires[1:])))
+    path = tmp_path / "wide.json"
+    path.write_text(render_circuit_document(ReversibleCircuit(16, tuple(gates))), encoding="utf-8")
+    assert main(["circuit", "verify", str(path)]) == 0
+    assert capsys.readouterr().out == "reversible: true\n"
+
+
+def test_circuit_verify_reports_a_repeated_index(tmp_path, monkeypatch, capsys):
+    # Pins the verdict to the bijection test, not to a constant "true".
+    monkeypatch.setattr(
+        "groversim.cli.circuit_to_permutation", lambda circuit, cap: np.array([0, 1, 2, 3, 4, 5, 6, 6])
+    )
+    assert main(["circuit", "verify", write_adder(tmp_path)]) == 0
+    assert capsys.readouterr().out == "reversible: false\n"
 
 
 def test_circuit_run(tmp_path, capsys):

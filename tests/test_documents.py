@@ -162,6 +162,18 @@ def test_parse_trace_enforces_unit_norm_per_step():
         parse_trace_document(json.dumps(raw))
 
 
+def test_parse_trace_rejects_non_finite_literals():
+    # A NaN amplitude would pass the drift check, since NaN > tol is False.
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        text = (
+            '{"format_version": "1", "n": 1, "rng": {"algorithm": "pcg64", "seed": 0}, '
+            f'"steps": [{{"label": "i", "amplitudes": [[{literal},0],[0,0]]}}], '
+            '"outcome": 0, "oracle_evals": 0}'
+        )
+        with pytest.raises(ValueError, match=f"trace document: {literal} is not a finite number"):
+            parse_trace_document(text)
+
+
 def test_circuit_render_golden():
     assert render_circuit_document(adder_circuit()) == ADDER_DOC
 
@@ -185,6 +197,13 @@ def test_parse_circuit_accepts_handwritten_json():
     text = '{"format_version": "1", "wires": 2, "gates": [{"type": "NOT", "target": 1}]}'
     circuit = parse_circuit_document(text)
     assert circuit == ReversibleCircuit(2, (Gate.not_(1),))
+
+
+def test_parse_circuit_rejects_non_finite_literals():
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        text = f'{{"format_version": "1", "wires": {literal}, "gates": []}}'
+        with pytest.raises(ValueError, match=f"circuit document: {literal} is not a finite number"):
+            parse_circuit_document(text)
 
 
 def test_parse_circuit_diagnostics():

@@ -112,6 +112,14 @@ def test_measure_rejects_unnormalized_vector():
         measure(zero, 0)
 
 
+def test_measure_rejects_non_finite_amplitudes():
+    # A NaN norm compares False against the tolerance, so it needs its own check.
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        v = AmplitudeVector(2, [bad, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            measure(v, 0)
+
+
 def test_measure_tolerates_tiny_norm_drift():
     v = AmplitudeVector(1, [1.0 + 1e-8, 0.0])
     outcome, _ = measure(v, 3)

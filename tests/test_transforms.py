@@ -11,7 +11,6 @@ from groversim import (
     invert_phase_marked,
     invert_phase_zero,
     norm,
-    sign_rule_entry,
     uniform_state,
     walsh_hadamard_fast,
     walsh_hadamard_naive,
@@ -53,11 +52,6 @@ def test_wh_sign_is_symmetric():
 def test_wh_sign_rejects_negative_indices():
     with pytest.raises(ValueError):
         wh_sign(-1, 0)
-
-
-def test_sign_rule_entry_fields():
-    entry = sign_rule_entry(1, 1)
-    assert (entry.q, entry.r, entry.sign) == (1, 1, -1)
 
 
 def test_wh_matrix_entry_two_qubits_exact():
