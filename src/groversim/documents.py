@@ -74,7 +74,7 @@ class TraceDocument:
         return TraceDocument(
             n=trace.n,
             seed=trace.seed,
-            steps=[(label, snap.amps.copy()) for label, snap in trace.steps],
+            steps=[(label, snap.amps) for label, snap in trace.steps],
             outcome=trace.outcome,
             oracle_evals=trace.oracle_evals,
         )
@@ -98,8 +98,8 @@ def render_trace_document(doc: TraceDocument) -> str:
         lines.append('  "steps": [],')
     lines.append(f'  "outcome": {doc.outcome},')
     lines.append(f'  "oracle_evals": {doc.oracle_evals}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def _load_json(text: str, where: str) -> Any:
@@ -203,8 +203,8 @@ def render_circuit_document(circuit: ReversibleCircuit) -> str:
         lines.append("  ]")
     else:
         lines.append('  "gates": []')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def parse_circuit_document(text: str) -> ReversibleCircuit:

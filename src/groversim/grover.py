@@ -4,14 +4,17 @@ traced runs, oscillation scans, and the classical random-guess baseline.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
 from .state import (
     DEFAULT_MAX_QUBITS,
     AmplitudeVector,
+    ResourceLimitError,
     basis_state,
     measure,
 )
@@ -96,8 +99,9 @@ class SimulationTrace:
 
     steps holds (label, snapshot) pairs, labeled with lowercase roman
     numerals in execution order starting at "i" for the post-init state;
-    it is empty unless the run traced every step. final_state is the
-    pre-measurement vector.
+    it is empty unless the run traced every step. The snapshots are the
+    engine's own vectors, not copies, so in a traced run final_state (the
+    pre-measurement vector) is the last snapshot.
     """
 
     n: int
@@ -129,18 +133,26 @@ def roman_numeral(value: int) -> str:
     return "".join(parts)
 
 
-def _iteration_states(
-    state: AmplitudeVector, oracle: Oracle
-) -> tuple[AmplitudeVector, AmplitudeVector, AmplitudeVector, AmplitudeVector]:
-    after_flip = invert_phase_marked(state, oracle)
-    after_mix = walsh_hadamard_fast(after_flip)
-    after_zero = invert_phase_zero(after_mix)
-    return after_flip, after_mix, after_zero, walsh_hadamard_fast(after_zero)
+def _step_states(
+    state: AmplitudeVector, oracle: Oracle, iterations: int
+) -> Iterator[AmplitudeVector]:
+    """Yield state, then the fresh vector made by each literal step of each
+    iteration: flip marked, transform, flip zero, transform."""
+    yield state
+    for _ in range(iterations):
+        state = invert_phase_marked(state, oracle)
+        yield state
+        state = walsh_hadamard_fast(state)
+        yield state
+        state = invert_phase_zero(state)
+        yield state
+        state = walsh_hadamard_fast(state)
+        yield state
 
 
 def grover_iteration(state: AmplitudeVector, oracle: Oracle) -> AmplitudeVector:
     """One search iteration: flip marked, transform, flip zero, transform."""
-    return _iteration_states(state, oracle)[-1]
+    return deque(_step_states(state, oracle, 1), maxlen=1).pop()
 
 
 def resolve_iterations(config: GroverConfig) -> tuple[int, bool]:
@@ -166,20 +178,24 @@ def run_grover(config: GroverConfig) -> SimulationTrace:
     The state starts as the transform of basis state 0, runs the four-step
     iteration the resolved number of times, then measures with a fresh
     generator seeded from config.seed. With trace_every_step on, snapshots
-    cover the initialized state and every step of every iteration.
+    cover the initialized state and every step of every iteration; a trace
+    of more than 2**max_qubits amplitudes in all raises ResourceLimitError
+    before anything is allocated.
     """
     iterations, degenerate = resolve_iterations(config)
+    traced = config.trace_every_step
+    if traced and (4 * iterations + 1) << config.n > 1 << config.max_qubits:
+        raise ResourceLimitError(
+            f"a trace of {4 * iterations + 1} snapshots at n={config.n} exceeds "
+            f"2**{config.max_qubits} amplitudes, the {config.max_qubits}-qubit cap"
+        )
     evals_before = config.oracle.eval_count
     state = walsh_hadamard_fast(basis_state(config.n, 0, config.max_qubits))
-    recorded = [state]
-    for _ in range(iterations):
-        quad = _iteration_states(state, config.oracle)
-        state = quad[-1]
-        if config.trace_every_step:
-            recorded.extend(quad)
     steps: list[tuple[str, AmplitudeVector]] = []
-    if config.trace_every_step:
-        steps = [(roman_numeral(i + 1), s.copy()) for i, s in enumerate(recorded)]
+    # Rebinding state lets an untraced run drop each vector once it is stepped past.
+    for i, state in enumerate(_step_states(state, config.oracle, iterations), start=1):
+        if traced:
+            steps.append((roman_numeral(i), state))
     outcome, _ = measure(state, np.random.default_rng(config.seed))
     return SimulationTrace(
         n=config.n,
@@ -227,16 +243,16 @@ def optimal_iterations(size: int, marked_count: int = 1) -> int:
 def scan_probabilities(config: GroverConfig, t_max: int) -> list[tuple[int, float]]:
     """Success probability after t iterations for every t in 0..t_max.
 
-    Runs incrementally, so the whole series costs one length-t_max run.
+    Runs incrementally, so the whole series costs one length-t_max run:
+    every fourth vector of the step loop ends an iteration.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    state = walsh_hadamard_fast(basis_state(config.n, 0, config.max_qubits))
-    series = [(0, success_probability(state, config.oracle))]
-    for t in range(1, t_max + 1):
-        state = grover_iteration(state, config.oracle)
-        series.append((t, success_probability(state, config.oracle)))
-    return series
+    states = _step_states(
+        walsh_hadamard_fast(basis_state(config.n, 0, config.max_qubits)), config.oracle, t_max
+    )
+    probs = map(success_probability, islice(states, None, None, 4), repeat(config.oracle))
+    return list(enumerate(probs))
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ def grover_steps(marked, iterations: int) -> list[StepOp]:
 
 def _check_enumeration(
     n: int, steps: Sequence[StepOp], start: int, end: int | None
-) -> int:
+) -> None:
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
     size = 1 << n
@@ -98,13 +98,55 @@ def _check_enumeration(
                 raise ResourceLimitError(
                     f"path enumeration would exceed {MAX_PATHS} branches at steps[{i}]"
                 )
-    return size
 
 
-def _flips(op: StepOp, state: int) -> bool:
-    if op.kind == "flip_zero":
-        return state == 0
-    return state in op.marked
+def _walk(
+    n: int, steps: Sequence[StepOp], start: int, end: int | None, chain: list[int] | None = None
+) -> Iterator[float]:
+    """Depth-first over every path from start, yielding each amplitude.
+
+    The stack holds (step, state, amp), amp being the product of the
+    entries so far; transforms push their children in reverse, so they pop
+    in ascending order, and flips are taken in place. A transform as the
+    last step goes straight into `end` (every state if end is None) instead
+    of pushing. When `chain` is a list, it holds the yielded path's states.
+    """
+    size = 1 << n
+    inv_root = 1.0 / math.sqrt(size)
+    last = len(steps) - 1
+    # The states each flip negates; None stands for a transform or the end.
+    negated = [
+        None if op.kind == "wh" else {0} if op.kind == "flip_zero" else op.marked for op in steps
+    ] + [None]
+    stack = [(0, start, 1.0)]
+    while stack:
+        i, state, amp = stack.pop()
+        if chain is not None:
+            del chain[i:]
+            chain.append(state)
+        while negated[i] is not None:
+            if state in negated[i]:
+                amp = -amp
+            i += 1
+            if chain is not None:
+                chain.append(state)
+        if i < last:
+            stack.extend(
+                [(i + 1, nxt, amp * wh_sign(nxt, state) * inv_root)
+                 for nxt in range(size - 1, -1, -1)]
+            )
+        elif i > last:
+            if end is None or state == end:
+                yield amp
+        elif end is not None:
+            if chain is not None:
+                chain.append(end)
+            yield amp * wh_sign(end, state) * inv_root
+        else:
+            for nxt in range(size):
+                if chain is not None:
+                    chain[i + 1:] = [nxt]
+                yield amp * wh_sign(nxt, state) * inv_root
 
 
 def path_amplitude(n: int, steps: Sequence[StepOp], start: int, end: int) -> float:
@@ -113,28 +155,8 @@ def path_amplitude(n: int, steps: Sequence[StepOp], start: int, end: int) -> flo
     The last step never branches: its contribution is the single entry
     into `end`. An empty program is the identity.
     """
-    size = _check_enumeration(n, steps, start, end)
-    if not steps:
-        return 1.0 if start == end else 0.0
-    inv_root = 1.0 / math.sqrt(size)
-    last = len(steps) - 1
-
-    def total_from(i: int, state: int, amp: float) -> float:
-        op = steps[i]
-        if i == last:
-            if op.kind == "wh":
-                return amp * wh_sign(end, state) * inv_root
-            if state != end:
-                return 0.0
-            return -amp if _flips(op, state) else amp
-        if op.kind == "wh":
-            acc = 0.0
-            for nxt in range(size):
-                acc += total_from(i + 1, nxt, amp * wh_sign(nxt, state) * inv_root)
-            return acc
-        return total_from(i + 1, state, -amp if _flips(op, state) else amp)
-
-    return total_from(0, start, 1.0)
+    _check_enumeration(n, steps, start, end)
+    return sum(_walk(n, steps, start, end), 0.0)
 
 
 def enumerate_paths(
@@ -144,30 +166,11 @@ def enumerate_paths(
 
     With `end` given, only paths finishing there are yielded; with end
     None, all of them. path_amplitude(n, steps, start, end) equals the sum
-    of the amplitudes yielded here.
+    of the amplitudes yielded here. Arguments are checked at call time.
     """
-    size = _check_enumeration(n, steps, start, end)
-    inv_root = 1.0 / math.sqrt(size)
-    chain: list[int] = [start]
-
-    def walk(i: int, state: int, amp: float) -> Iterator[Path]:
-        if i == len(steps):
-            if end is None or state == end:
-                yield Path(tuple(chain), amp)
-            return
-        op = steps[i]
-        if op.kind == "wh":
-            for nxt in range(size):
-                chain.append(nxt)
-                yield from walk(i + 1, nxt, amp * wh_sign(nxt, state) * inv_root)
-                chain.pop()
-        else:
-            sign = -1.0 if _flips(op, state) else 1.0
-            chain.append(state)
-            yield from walk(i + 1, state, amp * sign)
-            chain.pop()
-
-    return walk(0, start, 1.0)
+    _check_enumeration(n, steps, start, end)
+    chain: list[int] = []
+    return (Path(tuple(chain), amp) for amp in _walk(n, steps, start, end, chain))
 
 
 def verify_against_matrix(n: int, steps: Sequence[StepOp]) -> float:

@@ -3,8 +3,8 @@
 The transform's matrix entry at (q, r) is +-1/sqrt(N) where the sign is
 positive exactly when q AND r has an even number of 1 bits. Two
 implementations are kept deliberately independent: a naive O(4**n)
-matrix-vector product used as a reference, and the O(n * 2**n) in-place
-butterfly used everywhere else.
+matrix-vector product used as a reference, and the O(n * 2**n) butterfly,
+which works on a copy of the amplitudes, used everywhere else.
 """
 from __future__ import annotations
 

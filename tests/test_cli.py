@@ -128,6 +128,20 @@ def test_qubit_cap_env_var(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_trace_volume_cap_exits_3(tmp_path, monkeypatch, capsys):
+    # 25 iterations at n=10 trace 101 * 2**10 amplitudes, over a 2**12 cap.
+    monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "12")
+    trace_path = tmp_path / "trace.json"
+    argv = ["grover", "run", "--qubits", "10", "--marked", "1", "--trace", str(trace_path)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "101 snapshots" in captured.err
+    assert not trace_path.exists()
+    assert main(argv[:-2]) == 0
+    capsys.readouterr()
+
+
 def test_qubit_cap_env_var_garbage_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "abc")
     assert main(["grover", "run", "--qubits", "2", "--marked", "2"]) == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from groversim import (
     GroverConfig,
     Oracle,
+    ResourceLimitError,
     basis_state,
     classical_baseline,
     grover_iteration,
@@ -248,6 +250,59 @@ def test_scan_probabilities_matches_individual_runs():
         if t > 0:
             state = grover_iteration(state, fresh)
         assert p == success_probability(state, fresh)
+
+
+def test_scan_runs_and_traces_share_one_step_loop():
+    n, marked = 5, {3, 17}
+    oracle = Oracle(n, marked=marked)
+    series = scan_probabilities(GroverConfig(n, oracle), 8)
+    assert [t for t, _ in series] == list(range(9))
+    for t, p in series:
+        run = run_grover(GroverConfig(n, Oracle(n, marked=marked), iterations=t))
+        assert p == success_probability(run.final_state, oracle)
+    trace = run_grover(GroverConfig(n, oracle, iterations=8, trace_every_step=True))
+    assert trace.final_state is trace.steps[-1][1]
+    state = walsh_hadamard_fast(basis_state(n, 0))
+    for t, (_, snap) in enumerate(trace.steps[::4]):
+        if t > 0:
+            state = grover_iteration(state, oracle)
+        assert snap.amps.tobytes() == state.amps.tobytes()
+
+
+def test_untraced_run_and_scan_keep_few_states_alive():
+    n = 14
+    state_bytes = 16 << n
+    oracle = Oracle(n, marked={(1 << n) - 1})
+    oracle.marked_indices()
+    calls = (
+        lambda: run_grover(GroverConfig(n, oracle, iterations=3)),
+        lambda: scan_probabilities(GroverConfig(n, oracle), 3),
+    )
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * state_bytes
+
+
+def test_traced_run_volume_is_capped_before_simulating():
+    # (4t + 1) * 2**3 amplitudes against a cap of 2**5: t = 0 fits, t = 1 does not.
+    oracle = Oracle(3, marked={5})
+    config = GroverConfig(3, oracle, iterations=0, trace_every_step=True, max_qubits=5)
+    assert len(run_grover(config).steps) == 1
+    config = GroverConfig(3, oracle, iterations=1, trace_every_step=True, max_qubits=5)
+    with pytest.raises(ResourceLimitError, match="5 snapshots at n=3 exceeds 2\\*\\*5"):
+        run_grover(config)
+    assert oracle.eval_count == 0
+    config = GroverConfig(3, oracle, iterations=1, max_qubits=5)
+    assert run_grover(config).oracle_evals == 1
+    # A trace of exactly 2**max_qubits amplitudes is allowed.
+    oracle = Oracle(5, marked={5})
+    config = GroverConfig(5, oracle, iterations=0, trace_every_step=True, max_qubits=5)
+    assert len(run_grover(config).steps) == 1
 
 
 def test_scan_probabilities_rejects_bad_horizon():

@@ -88,10 +88,22 @@ def test_enumerate_paths_counts():
 
 
 def test_enumerate_paths_sum_matches_path_amplitude():
-    steps = grover_steps({2}, 1)
-    for end in range(4):
-        total = sum(p.amplitude for p in enumerate_paths(2, steps, 0, end))
-        assert abs(total - path_amplitude(2, steps, 0, end)) < 1e-12
+    for n in (1, 2, 3):
+        for iterations in (0, 1, 2):
+            steps = grover_steps({(1 << n) - 1}, iterations)
+            every = list(enumerate_paths(n, steps, 0))
+            for end in range(1 << n):
+                paths = list(enumerate_paths(n, steps, 0, end))
+                assert paths == [p for p in every if p.states[-1] == end]
+                total = sum(p.amplitude for p in paths)
+                assert abs(total - path_amplitude(n, steps, 0, end)) < 1e-12
+
+
+def test_enumerate_paths_is_lazy():
+    # 16**6 paths in all; the first arrives without walking the rest.
+    first = next(enumerate_paths(4, [StepOp.wh()] * 6, 3))
+    assert first.states == (3, 0, 0, 0, 0, 0, 0)
+    assert first.amplitude == 0.25**6
 
 
 def test_path_amplitude_full_program_reaches_certainty():
