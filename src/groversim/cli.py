@@ -30,14 +30,13 @@ from .grover import (
 )
 from .reversible import (
     ReversibleCircuit,
-    _is_permutation,
     circuit_to_permutation,
     inverse_circuit,
     run_circuit,
 )
 # Unused here, but bench/spans.py patches both under these names.
 from .reversible import check_bijection, index_to_bits  # noqa: F401
-from .state import DEFAULT_MAX_QUBITS, ResourceLimitError
+from .state import DEFAULT_MAX_QUBITS, ResourceLimitError, _is_permutation
 
 
 def _qubit_cap() -> int:
@@ -139,6 +138,10 @@ def cmd_grover_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_classical(args: argparse.Namespace) -> int:
+    cap = _qubit_cap()
+    # classical_baseline allocates a size-entry lookup table before drawing.
+    if args.size > 1 << cap:
+        raise ResourceLimitError(f"--size {args.size} exceeds 2**{cap}, the {cap}-qubit cap")
     result = classical_baseline(args.size, args.marked, args.iterations, args.trials, args.seed)
     print(f"empirical: {result.empirical!r}")
     print(f"analytic: {result.analytic!r}")

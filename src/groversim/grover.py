@@ -15,6 +15,7 @@ from .state import (
     DEFAULT_MAX_QUBITS,
     AmplitudeVector,
     ResourceLimitError,
+    _index_set,
     basis_state,
     measure,
 )
@@ -45,21 +46,13 @@ class Oracle:
         if (self.marked is None) == (self.predicate is None):
             raise ValueError("give exactly one of marked or predicate")
         if self.marked is not None:
-            size = 1 << self.n
-            marked = frozenset(int(r) for r in self.marked)
-            for r in sorted(marked):
-                if not 0 <= r < size:
-                    raise ValueError(f"marked index {r} out of range for n={self.n}")
-            self.marked = marked
+            self._indices = _index_set(1 << self.n, self.marked, "marked index")
+            self.marked = frozenset(self._indices.tolist())
 
     def marked_indices(self) -> np.ndarray:
-        """Sorted array of marked indices; a predicate is tabulated once."""
+        """Sorted array of marked indices; a predicate is tabulated on first use."""
         if self._indices is None:
-            if self.marked is not None:
-                self._indices = np.array(sorted(self.marked), dtype=np.int64)
-            else:
-                hits = [r for r in range(1 << self.n) if self.predicate(r)]
-                self._indices = np.array(hits, dtype=np.int64)
+            self._indices = _index_set(1 << self.n, self.predicate)
         return self._indices
 
     def is_marked(self, r: int) -> bool:
@@ -282,16 +275,13 @@ def classical_baseline(
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    marked_set = frozenset(int(r) for r in marked)
-    for r in sorted(marked_set):
-        if not 0 <= r < size:
-            raise ValueError(f"marked index {r} out of range for size {size}")
-    analytic = 1.0 - (1.0 - len(marked_set) / size) ** iterations
-    if iterations == 0 or not marked_set:
+    idx = _index_set(size, marked, "marked index")
+    analytic = 1.0 - (1.0 - idx.size / size) ** iterations
+    if iterations == 0 or not idx.size:
         return ClassicalResult(0.0, analytic)
     rng = np.random.default_rng(seed)
     lookup = np.zeros(size, dtype=bool)
-    lookup[sorted(marked_set)] = True
+    lookup[idx] = True
     hits = 0
     remaining = trials
     block = max(1, (1 << 22) // iterations)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .state import ResourceLimitError, apply_phase_flip, basis_state
+from .state import ResourceLimitError, _index_set, apply_phase_flip, basis_state
 from .transforms import invert_phase_zero, walsh_hadamard_fast, wh_sign
 
 # A mixing step branches 2**n ways; refuse programs whose branch product
@@ -89,9 +89,7 @@ def _check_enumeration(
     branches = 1
     for i, op in enumerate(steps):
         if op.kind == "flip_marked":
-            for r in sorted(op.marked):
-                if not 0 <= r < size:
-                    raise ValueError(f"steps[{i}] marked index {r} out of range for n={n}")
+            _index_set(size, op.marked, f"steps[{i}] marked index")
         elif op.kind == "wh":
             branches *= size
             if branches > MAX_PATHS:
@@ -150,13 +148,14 @@ def _walk(
 
 
 def path_amplitude(n: int, steps: Sequence[StepOp], start: int, end: int) -> float:
-    """Sum of all path amplitudes from start to end, in depth-first order.
+    """Sum of all path amplitudes from start to end, correctly rounded
+    (math.fsum), so it depends on neither path order nor Python version.
 
     The last step never branches: its contribution is the single entry
     into `end`. An empty program is the identity.
     """
     _check_enumeration(n, steps, start, end)
-    return sum(_walk(n, steps, start, end), 0.0)
+    return math.fsum(_walk(n, steps, start, end))
 
 
 def enumerate_paths(
@@ -191,7 +190,7 @@ def verify_against_matrix(n: int, steps: Sequence[StepOp]) -> float:
         elif op.kind == "flip_zero":
             state = invert_phase_zero(state)
         else:
-            state = apply_phase_flip(state, sorted(op.marked))
+            state = apply_phase_flip(state, op.marked)
     worst = 0.0
     for end in range(state.size):
         worst = max(worst, abs(state.amps[end] - path_amplitude(n, steps, 0, end)))

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .state import DEFAULT_MAX_QUBITS, ResourceLimitError
+from .state import DEFAULT_MAX_QUBITS, ResourceLimitError, _is_permutation
 
 GATE_CONTROL_COUNTS = {"NOT": 0, "CNOT": 1, "TOFFOLI": 2}
 
@@ -134,11 +134,6 @@ def index_to_bits(value: int, width: int) -> list[int]:
     if not 0 <= value < 1 << width:
         raise ValueError(f"value {value} does not fit in {width} bits")
     return [(value >> i) & 1 for i in range(width)]
-
-
-def _is_permutation(values: np.ndarray) -> bool:
-    """True iff values holds each index 0..len(values)-1 exactly once."""
-    return bool((np.bincount(values, minlength=len(values)) == 1).all())
 
 
 def check_bijection(table: Sequence[Sequence[int]]) -> bool:

@@ -133,36 +133,47 @@ def measure(state: AmplitudeVector, rng: RandomSource) -> tuple[int, AmplitudeVe
     return outcome, AmplitudeVector(state.n, collapsed)
 
 
-def _selector_mask(size: int, selector: Selector) -> np.ndarray:
+def _index_set(size: int, selector: Selector, label: str = "selector index") -> np.ndarray:
+    """Sorted, de-duplicated int64 indices picked by a predicate over 0..size-1,
+    an iterable of indices or a boolean mask of length size. An index out of
+    range raises ValueError naming the smallest one after `label`."""
     if isinstance(selector, np.ndarray) and selector.dtype == bool:
         if selector.shape != (size,):
             raise ValueError(f"boolean selector has shape {selector.shape}, expected ({size},)")
-        return selector
+        return np.flatnonzero(selector)
     if callable(selector):
-        return np.fromiter((bool(selector(r)) for r in range(size)), dtype=bool, count=size)
-    items = sorted(selector) if isinstance(selector, (set, frozenset)) else list(selector)
-    idx = np.asarray(items, dtype=np.int64)
-    if idx.ndim != 1:
+        return np.fromiter((r for r in range(size) if selector(r)), dtype=np.int64)
+    if np.ndim(selector) > 1:
         raise ValueError("index selector must be one-dimensional")
-    mask = np.zeros(size, dtype=bool)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= size:
-            raise ValueError(f"selector index out of range for {size} basis states")
-        mask[idx] = True
-    return mask
+    # sorted(set) rather than np.unique, whose first call imports numpy.ma (about 1 MB).
+    idx = np.array(sorted({int(r) for r in selector}), dtype=np.int64)
+    bad = idx[(idx < 0) | (idx >= size)]
+    if bad.size:
+        raise ValueError(f"{label} {bad[0]} out of range for {size} basis states")
+    return idx
+
+
+def _negate_at(state: AmplitudeVector, idx) -> AmplitudeVector:
+    """Copy of state negated at the checked indices idx; exact negation,
+    since multiplying by -1 would turn a -0.0 part into +0.0."""
+    out = state.amps.copy()
+    out[idx] = -out[idx]
+    return AmplitudeVector(state.n, out)
+
+
+def _is_permutation(values: np.ndarray) -> bool:
+    """True iff values holds each index 0..len(values)-1 exactly once."""
+    return bool((np.bincount(values, minlength=len(values)) == 1).all())
 
 
 def apply_phase_flip(state: AmplitudeVector, selector: Selector) -> AmplitudeVector:
     """Negate the amplitudes of the selected basis states.
 
     The selector is a predicate over basis indices, an iterable of indices,
-    or a boolean mask of length 2**n. Probabilities are untouched; only
-    signs change, and the negation itself is exact.
+    or a boolean mask of length 2**n; only the selected entries are touched,
+    with no 2**n mask built. Only signs change, and the negation is exact.
     """
-    mask = _selector_mask(state.size, selector)
-    out = state.amps.copy()
-    out[mask] = -out[mask]
-    return AmplitudeVector(state.n, out)
+    return _negate_at(state, _index_set(state.size, selector))
 
 
 def apply_permutation(state: AmplitudeVector, perm) -> AmplitudeVector:
@@ -180,10 +191,8 @@ def apply_permutation(state: AmplitudeVector, perm) -> AmplitudeVector:
             raise ValueError(f"permutation array has shape {targets.shape}, expected ({size},)")
     if targets.min() < 0 or targets.max() >= size:
         raise ValueError(f"permutation target out of range for {size} basis states")
-    counts = np.bincount(targets, minlength=size)
-    if counts.max() > 1:
-        dup = int(np.argmax(counts))
-        raise ValueError(f"permutation sends two inputs to {dup}; not a bijection")
+    if not _is_permutation(targets):
+        raise ValueError("permutation sends two inputs to one target; not a bijection")
     out = np.empty_like(state.amps)
     out[targets] = state.amps
     return AmplitudeVector(state.n, out)

@@ -5,6 +5,9 @@ positive exactly when q AND r has an even number of 1 bits. Two
 implementations are kept deliberately independent: a naive O(4**n)
 matrix-vector product used as a reference, and the O(n * 2**n) butterfly,
 which works on a copy of the amplitudes, used everywhere else.
+
+Both phase inversions negate a copy at basis indices (the oracle's cached
+marked indices, or index 0) through one kernel in state.py, with no 2**n mask.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import math
 from functools import lru_cache
 import numpy as np
 
-from .state import AmplitudeVector, ResourceLimitError, apply_phase_flip
+from .state import AmplitudeVector, ResourceLimitError, _negate_at
 
 # The naive transform materializes the full N x N matrix; past n=12 that is
 # more than a gigabyte of float64, so it refuses rather than thrash.
@@ -85,11 +88,9 @@ def invert_phase_marked(state: AmplitudeVector, oracle) -> AmplitudeVector:
     so oracle.eval_count goes up by exactly 1 per call.
     """
     oracle.eval_count += 1
-    return apply_phase_flip(state, oracle.marked_indices())
+    return _negate_at(state, oracle.marked_indices())
 
 
 def invert_phase_zero(state: AmplitudeVector) -> AmplitudeVector:
     """Negate the amplitude of basis state 0, leaving the rest alone."""
-    out = state.amps.copy()
-    out[0] = -out[0]
-    return AmplitudeVector(state.n, out)
+    return _negate_at(state, 0)

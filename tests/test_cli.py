@@ -210,6 +210,19 @@ def test_classical_validation_exits_2(capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_classical_size_cap_exits_3(monkeypatch, capsys):
+    # The baseline allocates a size-entry lookup table, so --size is capped
+    # at 2**cap before anything is drawn.
+    monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "10")
+    argv = ["classical", "--size", "2048", "--iterations", "1", "--trials", "10"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "10-qubit cap" in captured.err
+    argv[2] = "1024"
+    assert main(argv) == 0
+
+
 def test_circuit_verify(tmp_path, capsys):
     assert main(["circuit", "verify", write_adder(tmp_path)]) == 0
     assert capsys.readouterr().out == "reversible: true\n"

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groversim import (
     GroverConfig,
@@ -42,6 +44,23 @@ def test_oracle_requires_exactly_one_form():
 def test_oracle_rejects_out_of_range_marked():
     with pytest.raises(ValueError, match="marked index 4 out of range"):
         Oracle(2, marked={1, 4})
+    with pytest.raises(ValueError, match="marked index -3 out of range"):
+        Oracle(2, marked={7, -3, 5, 1})
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_set_and_predicate_oracles_agree(data):
+    n = data.draw(st.integers(1, 6))
+    marked = data.draw(st.frozensets(st.integers(0, (1 << n) - 1)))
+    iterations = data.draw(st.integers(0, 4))
+    by_set = Oracle(n, marked=marked)
+    by_pred = Oracle(n, predicate=marked.__contains__)
+    assert by_set.marked_indices().tolist() == by_pred.marked_indices().tolist()
+    assert by_set.marked_indices().tolist() == sorted(marked)
+    runs = [run_grover(GroverConfig(n, oracle, iterations)) for oracle in (by_set, by_pred)]
+    assert runs[0].final_state.amps.tobytes() == runs[1].final_state.amps.tobytes()
+    assert runs[0].outcome == runs[1].outcome
 
 
 def test_oracle_marked_indices_sorted():
@@ -335,8 +354,8 @@ def test_classical_baseline_deterministic_per_seed():
 def test_classical_baseline_validation():
     with pytest.raises(ValueError):
         classical_baseline(0, set(), 1, 1)
-    with pytest.raises(ValueError, match="out of range"):
-        classical_baseline(4, {4}, 1, 1)
+    with pytest.raises(ValueError, match="marked index 5 out of range"):
+        classical_baseline(4, [9, 5, 5, 0], 1, 1)
     with pytest.raises(ValueError):
         classical_baseline(4, {0}, -1, 1)
     with pytest.raises(ValueError):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,8 +99,27 @@ def test_enumerate_paths_sum_matches_path_amplitude():
             for end in range(1 << n):
                 paths = list(enumerate_paths(n, steps, 0, end))
                 assert paths == [p for p in every if p.states[-1] == end]
-                total = sum(p.amplitude for p in paths)
-                assert abs(total - path_amplitude(n, steps, 0, end)) < 1e-12
+                amplitudes = [p.amplitude for p in paths]
+                assert abs(sum(amplitudes) - path_amplitude(n, steps, 0, end)) < 1e-12
+                # Correctly rounded, so equal on every Python version.
+                assert path_amplitude(n, steps, 0, end) == math.fsum(amplitudes)
+
+
+def test_first_verify_call_allocates_little():
+    # A fresh interpreter: a first call that lazily imports a numpy submodule
+    # (np.unique pulls in numpy.ma, about 1 MB) would show here.
+    code = (
+        "import tracemalloc\n"
+        "from groversim import grover_steps, verify_against_matrix\n"
+        "tracemalloc.start()\n"
+        "verify_against_matrix(2, grover_steps({1}, 1))\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    pythonpath = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert int(done.stdout) < 64 * 1024
 
 
 def test_enumerate_paths_is_lazy():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groversim import (
     AmplitudeVector,
@@ -177,6 +179,55 @@ def test_phase_flip_rejects_bad_indices():
         apply_phase_flip(v, {4})
     with pytest.raises(ValueError, match="shape"):
         apply_phase_flip(v, np.zeros(3, dtype=bool))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        apply_phase_flip(v, np.array([[1], [2]]))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def states_and_indices(draw, max_qubits=5):
+    """A state with arbitrary finite parts (signed zeros included) and a list
+    of in-range indices, duplicates allowed."""
+    n = draw(st.integers(1, max_qubits))
+    parts = draw(st.lists(finite, min_size=2 << n, max_size=2 << n))
+    amps = np.array(parts[::2]) + 1j * np.array(parts[1::2])
+    picks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=1 << (n + 1)))
+    return AmplitudeVector(n, amps), picks
+
+
+@settings(deadline=None)
+@given(states_and_indices())
+def test_phase_flip_selector_forms_give_one_flip(case):
+    v, picks = case
+    mask = np.zeros(v.size, dtype=bool)
+    mask[picks] = True
+    # Written here, independent of the library: negate where the mask is set.
+    expected = np.where(mask, -v.amps, v.amps).tobytes()
+    chosen = set(picks)
+    for selector in (chosen.__contains__, chosen, picks, np.array(picks, dtype=np.int64), mask):
+        assert apply_phase_flip(v, selector).amps.tobytes() == expected
+
+
+@settings(deadline=None)
+@given(states_and_indices())
+def test_phase_flip_is_an_involution(case):
+    v, picks = case
+    twice = apply_phase_flip(apply_phase_flip(v, picks), picks)
+    assert twice.amps.tobytes() == v.amps.tobytes()
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.lists(st.integers(-40, 40), min_size=1))
+def test_phase_flip_names_smallest_out_of_range_index(n, picks):
+    size = 1 << n
+    outside = [r for r in picks if not 0 <= r < size]
+    if not outside:
+        assert apply_phase_flip(uniform_state(n), picks).size == size
+        return
+    with pytest.raises(ValueError, match=f"^selector index {min(outside)} out of range"):
+        apply_phase_flip(uniform_state(n), picks)
 
 
 def test_phase_flip_linearity():
