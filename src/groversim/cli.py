@@ -36,7 +36,7 @@ from .reversible import (
 )
 # Unused here, but bench/spans.py patches both under these names.
 from .reversible import check_bijection, index_to_bits  # noqa: F401
-from .state import DEFAULT_MAX_QUBITS, ResourceLimitError, _is_permutation
+from .state import DEFAULT_MAX_QUBITS, ResourceLimitError, _is_permutation, _require_qubits
 
 
 def _qubit_cap() -> int:
@@ -95,6 +95,9 @@ def _load_circuit(path: str) -> ReversibleCircuit:
 
 
 def cmd_grover_run(args: argparse.Namespace) -> int:
+    cap = _qubit_cap()
+    # Before Oracle, which computes 1 << n.
+    _require_qubits(args.qubits, cap)
     oracle = Oracle(args.qubits, marked=args.marked)
     config = GroverConfig(
         n=args.qubits,
@@ -102,7 +105,7 @@ def cmd_grover_run(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         seed=args.seed,
         trace_every_step=args.trace is not None,
-        max_qubits=_qubit_cap(),
+        max_qubits=cap,
     )
     trace = run_grover(config)
     if trace.degenerate:
@@ -128,8 +131,10 @@ def cmd_grover_run(args: argparse.Namespace) -> int:
 
 
 def cmd_grover_scan(args: argparse.Namespace) -> int:
+    cap = _qubit_cap()
+    _require_qubits(args.qubits, cap)
     oracle = Oracle(args.qubits, marked=args.marked)
-    config = GroverConfig(n=args.qubits, oracle=oracle, max_qubits=_qubit_cap())
+    config = GroverConfig(n=args.qubits, oracle=oracle, max_qubits=cap)
     series = scan_probabilities(config, args.max_iterations)
     lines = ["t,success_probability"]
     lines.extend(f"{t},{format(p, '.15g')}" for t, p in series)

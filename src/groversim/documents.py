@@ -1,16 +1,17 @@
 """On-disk JSON formats for simulation traces and reversible circuits.
 
-Both formats carry format_version "1". Floats are emitted with 17
-significant digits so a write-read cycle reproduces every double exactly;
-parsing is strict and reports the offending field on failure. The rendered
-layout is deterministic, so equal documents are byte-identical.
+Both formats carry format_version "1". The constructors (TraceDocument;
+Gate and ReversibleCircuit) check every rule of a document, the parsers
+check JSON types and name the offending field, and the renderers only
+format. Floats take 17 significant digits, so a write-read cycle keeps
+every double, and the layout is fixed, so equal documents are byte-identical.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -21,53 +22,61 @@ from .state import RNG_ALGORITHM
 TRACE_FORMAT_VERSION = "1"
 CIRCUIT_FORMAT_VERSION = "1"
 
-# Per-snapshot unit-norm requirement enforced when parsing traces.
+# Per-snapshot unit-norm requirement enforced by the TraceDocument constructor.
 TRACE_NORM_TOLERANCE = 1e-10
 
 
-def format_float(value: float) -> str:
-    """17-significant-digit decimal form; round-trips any finite double.
+def _format_floats(values: np.ndarray) -> list[str]:
+    """17-significant-digit forms of finite doubles; each round-trips. A
+    negative zero is "-0.0": a bare "-0" would parse as the integer 0."""
+    out = ["%.17g" % v for v in values.tolist()]
+    for i in np.flatnonzero(np.signbit(values) & (values == 0)).tolist():
+        out[i] = "-0.0"
+    return out
 
-    Negative zero is spelled "-0.0" because a bare "-0" parses as the
-    integer 0 and would come back with the sign lost.
-    """
+
+def format_float(value: float) -> str:
+    """17-significant-digit decimal form; round-trips any finite double."""
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite value {value!r}")
-    if value == 0.0 and math.copysign(1.0, value) < 0.0:
-        return "-0.0"
-    return format(value, ".17g")
+    return _format_floats(np.array([value]))[0]
 
 
 @dataclass
 class TraceDocument:
-    """In-memory form of a trace file: labeled snapshots plus run metadata."""
+    """In-memory form of a trace file: labeled snapshots plus run metadata.
 
+    Construction checks every rule of the format and names fields as the
+    file does. n stops at 62 because indices are int64; unit norm implies
+    finite amplitudes, and the norm test is written so that NaN fails too."""
+
+    format_version: ClassVar[str] = TRACE_FORMAT_VERSION
     n: int
     seed: int
     steps: list[tuple[str, np.ndarray]]
     outcome: int
     oracle_evals: int
     algorithm: str = RNG_ALGORITHM
-    format_version: str = TRACE_FORMAT_VERSION
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one qubit, got n={self.n}")
+        if not 1 <= self.n <= 62:
+            raise ValueError(f"n: must be >= 1 and <= 62, got {self.n}")
         size = 1 << self.n
         steps = []
-        for label, amps in self.steps:
-            amps = np.asarray(amps, dtype=np.complex128)
+        for i, (label, amps) in enumerate(self.steps):
+            amps = np.ascontiguousarray(amps, dtype=np.complex128)
             if amps.shape != (size,):
-                raise ValueError(
-                    f"step {label!r} has {amps.shape[0] if amps.ndim == 1 else '?'} amplitudes, expected {size}"
-                )
+                raise ValueError(f"steps[{i}].amplitudes: has shape {amps.shape}, expected ({size},)")
+            drift = abs(float(np.linalg.norm(amps)) - 1.0)
+            if not drift <= TRACE_NORM_TOLERANCE:
+                raise ValueError(f"steps[{i}]: snapshot norm differs from 1 by {drift:g}")
             steps.append((str(label), amps))
         self.steps = steps
         if not 0 <= self.outcome < size:
-            raise ValueError(f"outcome {self.outcome} out of range for n={self.n}")
+            raise ValueError(f"outcome: {self.outcome} out of range for n={self.n}")
         if self.oracle_evals < 0:
-            raise ValueError(f"oracle_evals must be >= 0, got {self.oracle_evals}")
+            raise ValueError(f"oracle_evals: must be >= 0, got {self.oracle_evals}")
 
     @staticmethod
     def from_trace(trace: SimulationTrace) -> "TraceDocument":
@@ -90,7 +99,8 @@ def render_trace_document(doc: TraceDocument) -> str:
     if doc.steps:
         lines.append('  "steps": [')
         for i, (label, amps) in enumerate(doc.steps):
-            pairs = ",".join(f"[{format_float(a.real)},{format_float(a.imag)}]" for a in amps)
+            parts = _format_floats(amps.view(np.float64))
+            pairs = ",".join([f"[{re},{im}]" for re, im in zip(parts[::2], parts[1::2])])
             comma = "," if i + 1 < len(doc.steps) else ""
             lines.append(f'    {{"label": {json.dumps(label)}, "amplitudes": [{pairs}]}}{comma}')
         lines.append("  ],")
@@ -122,12 +132,6 @@ def _as_int(value: Any, where: str, minimum: int | None = None) -> int:
     return value
 
 
-def _as_number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
 def _check_version(raw: dict, expected: str, where: str) -> None:
     version = raw.get("format_version")
     if version != expected:
@@ -140,8 +144,7 @@ def parse_trace_document(text: str) -> TraceDocument:
     if not isinstance(raw, dict):
         raise ValueError(f"{where}: top level must be an object")
     _check_version(raw, TRACE_FORMAT_VERSION, where)
-    n = _as_int(raw.get("n"), f"{where}: n", minimum=1)
-    size = 1 << n
+    n = _as_int(raw.get("n"), f"{where}: n")
     rng = raw.get("rng")
     if not isinstance(rng, dict):
         raise ValueError(f"{where}: rng: expected an object")
@@ -163,26 +166,22 @@ def parse_trace_document(text: str) -> TraceDocument:
         pairs = entry.get("amplitudes")
         if not isinstance(pairs, list):
             raise ValueError(f"{spot}.amplitudes: expected a list")
-        if len(pairs) != size:
-            raise ValueError(f"{spot}.amplitudes: has {len(pairs)} entries, expected {size} for n={n}")
-        amps = np.empty(size, dtype=np.complex128)
+        # Exact types: bool is a subclass of int but not a JSON number.
         for j, pair in enumerate(pairs):
-            cell = f"{spot}.amplitudes[{j}]"
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValueError(f"{cell}: expected an [re, im] pair")
-            amps[j] = complex(_as_number(pair[0], cell), _as_number(pair[1], cell))
-        drift = abs(float(np.linalg.norm(amps)) - 1.0)
-        if drift > TRACE_NORM_TOLERANCE:
-            raise ValueError(f"{spot}: snapshot norm differs from 1 by {drift:g}")
-        steps.append((label, amps))
-    outcome = _as_int(raw.get("outcome"), f"{where}: outcome", minimum=0)
-    if outcome >= size:
-        raise ValueError(f"{where}: outcome: {outcome} out of range for n={n}")
-    evals = _as_int(raw.get("oracle_evals"), f"{where}: oracle_evals", minimum=0)
-    return TraceDocument(
-        n=n, seed=seed, steps=steps, outcome=outcome,
-        oracle_evals=evals, algorithm=algorithm,
-    )
+            if not (type(pair) is list and len(pair) == 2
+                    and type(pair[0]) in (int, float) and type(pair[1]) in (int, float)):
+                raise ValueError(f"{spot}.amplitudes[{j}]: expected an [re, im] pair of numbers")
+        try:
+            values = np.array(pairs, dtype=np.float64)
+        except OverflowError:
+            raise ValueError(f"{spot}.amplitudes: an integer is too large for a double") from None
+        steps.append((label, values.view(np.complex128).ravel()))
+    outcome = _as_int(raw.get("outcome"), f"{where}: outcome")
+    evals = _as_int(raw.get("oracle_evals"), f"{where}: oracle_evals")
+    try:
+        return TraceDocument(n, seed, steps, outcome, evals, algorithm)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def render_circuit_document(circuit: ReversibleCircuit) -> str:

@@ -16,6 +16,7 @@ from .state import (
     AmplitudeVector,
     ResourceLimitError,
     _index_set,
+    _require_qubits,
     basis_state,
     measure,
 )
@@ -77,6 +78,7 @@ class GroverConfig:
     max_qubits: int = DEFAULT_MAX_QUBITS
 
     def __post_init__(self) -> None:
+        _require_qubits(self.n, self.max_qubits)
         if self.oracle.n != self.n:
             raise ValueError(f"oracle covers n={self.oracle.n} qubits, config says n={self.n}")
         if isinstance(self.iterations, str):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,24 @@ def test_trace_volume_cap_exits_3(tmp_path, monkeypatch, capsys):
     assert not trace_path.exists()
     assert main(argv[:-2]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["run", "scan"])
+def test_huge_qubits_flag_exits_3_before_building_the_oracle(command, monkeypatch, capsys):
+    monkeypatch.delenv("GROVERSIM_MAX_QUBITS", raising=False)
+    argv = ["grover", command, "--qubits", "1000000000", "--marked", "1"]
+    if command == "scan":
+        argv += ["--max-iterations", "2"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n=1000000000 exceeds the 24-qubit cap\n"
+    assert peak < 1 << 20
 
 
 def test_qubit_cap_env_var_garbage_exits_2(monkeypatch, capsys):

@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groversim import (
     Gate,
@@ -99,6 +102,48 @@ def test_trace_round_trip_with_empty_steps():
     assert render_trace_document(parsed) == text
 
 
+@st.composite
+def trace_document_fields(draw):
+    """Constructor arguments for n <= 4: finite snapshots with signed zeros,
+    each normalized or left as drawn, plus unicode labels and metadata."""
+    n = draw(st.integers(1, 4))
+    size = 1 << n
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+    steps = []
+    for _ in range(draw(st.integers(0, 3))):
+        amps = np.array(draw(st.lists(part, min_size=2 * size, max_size=2 * size))).view(np.complex128)
+        if draw(st.booleans()):
+            with np.errstate(all="ignore"):
+                amps = amps / np.linalg.norm(amps)
+        steps.append((draw(st.text()), amps))
+    return dict(
+        n=n, seed=draw(st.integers(min_value=0)), steps=steps,
+        outcome=draw(st.integers(0, size - 1)), oracle_evals=draw(st.integers(min_value=0)),
+        algorithm=draw(st.text()),
+    )
+
+
+# Huge drawn parts overflow the norm of a snapshot the constructor rejects.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(deadline=None, max_examples=200)
+@given(trace_document_fields())
+def test_every_constructible_trace_document_round_trips(fields):
+    try:
+        doc = TraceDocument(**fields)
+    except ValueError as exc:
+        assert "snapshot norm differs from 1" in str(exc)
+        return
+    text = render_trace_document(doc)
+    parsed = parse_trace_document(text)
+    assert render_trace_document(parsed) == text
+    assert (parsed.n, parsed.seed, parsed.outcome, parsed.oracle_evals, parsed.algorithm) == (
+        doc.n, doc.seed, doc.outcome, doc.oracle_evals, doc.algorithm
+    )
+    assert [label for label, _ in parsed.steps] == [label for label, _ in doc.steps]
+    for (_, got), (_, want) in zip(parsed.steps, doc.steps):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_trace_document_validation():
     with pytest.raises(ValueError, match="outcome"):
         TraceDocument(n=1, seed=0, steps=[], outcome=2, oracle_evals=0)
@@ -106,6 +151,14 @@ def test_trace_document_validation():
         TraceDocument(n=2, seed=0, steps=[("i", np.ones(3))], outcome=0, oracle_evals=0)
     with pytest.raises(ValueError, match="oracle_evals"):
         TraceDocument(n=1, seed=0, steps=[], outcome=0, oracle_evals=-1)
+    with pytest.raises(ValueError, match=r"steps\[1\]: snapshot norm differs from 1 by nan"):
+        TraceDocument(1, 0, [("i", [1, 0]), ("ii", [np.nan, 0])], 0, 0)
+    with pytest.raises(ValueError, match=r"steps\[0\]: snapshot norm differs from 1 by 1"):
+        TraceDocument(1, 0, [("i", [2.0, 0.0])], 0, 0)
+    with pytest.raises(ValueError, match="n: must be >= 1 and <= 62, got 63"):
+        TraceDocument(n=63, seed=0, steps=[], outcome=0, oracle_evals=0)
+    with pytest.raises(TypeError, match="format_version"):
+        TraceDocument(n=1, seed=0, steps=[], outcome=0, oracle_evals=0, format_version="1")
 
 
 def test_parse_trace_rejects_bad_documents():
@@ -151,6 +204,30 @@ def test_parse_trace_rejects_bad_documents():
     raw = json.loads(good)
     raw["outcome"] = True
     with pytest.raises(ValueError, match="outcome"):
+        parse_trace_document(json.dumps(raw))
+
+
+def test_parse_trace_rejects_a_huge_n_without_allocating():
+    text = (
+        '{"format_version": "1", "n": 1000000000, "rng": {"algorithm": "pcg64", "seed": 0}, '
+        '"steps": [], "outcome": 0, "oracle_evals": 0}'
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="trace document: n: must be >= 1 and <= 62"):
+            parse_trace_document(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="trace document: n: must be >= 1 and <= 62"):
+        parse_trace_document(text.replace("1000000000", str(10**30)))
+
+
+def test_parse_trace_rejects_an_integer_too_large_for_a_double():
+    raw = json.loads(render_trace_document(four_state_trace_doc()))
+    raw["steps"][0]["amplitudes"][1] = [10**400, 0]
+    with pytest.raises(ValueError, match=r"trace document: steps\[0\].amplitudes: "):
         parse_trace_document(json.dumps(raw))
 
 

@@ -322,6 +322,10 @@ def test_traced_run_volume_is_capped_before_simulating():
     oracle = Oracle(5, marked={5})
     config = GroverConfig(5, oracle, iterations=0, trace_every_step=True, max_qubits=5)
     assert len(run_grover(config).steps) == 1
+    # A register over the cap is refused when the config is built, before
+    # the auto iteration count is worked out.
+    with pytest.raises(ResourceLimitError, match="n=40 exceeds the 24-qubit cap"):
+        GroverConfig(40, Oracle(40, marked={1}))
 
 
 def test_scan_probabilities_rejects_bad_horizon():
