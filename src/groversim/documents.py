@@ -17,7 +17,7 @@ import numpy as np
 
 from .grover import SimulationTrace
 from .reversible import Gate, ReversibleCircuit
-from .state import RNG_ALGORITHM
+from .state import RNG_ALGORITHM, _require_index_qubits
 
 TRACE_FORMAT_VERSION = "1"
 CIRCUIT_FORMAT_VERSION = "1"
@@ -48,8 +48,10 @@ class TraceDocument:
     """In-memory form of a trace file: labeled snapshots plus run metadata.
 
     Construction checks every rule of the format and names fields as the
-    file does. n stops at 62 because indices are int64; unit norm implies
-    finite amplitudes, and the norm test is written so that NaN fails too."""
+    file does. The four integer fields must be int and not bool, so that
+    they render as JSON integers; n stops at 62 because indices are int64;
+    unit norm implies finite amplitudes, and the norm test is written so
+    that NaN fails too."""
 
     format_version: ClassVar[str] = TRACE_FORMAT_VERSION
     n: int
@@ -60,8 +62,9 @@ class TraceDocument:
     algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= 62:
-            raise ValueError(f"n: must be >= 1 and <= 62, got {self.n}")
+        for name in ("n", "seed", "outcome", "oracle_evals"):
+            _as_int(getattr(self, name), name)
+        _require_index_qubits(self.n)
         size = 1 << self.n
         steps = []
         for i, (label, amps) in enumerate(self.steps):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
@@ -16,6 +16,7 @@ from .state import (
     AmplitudeVector,
     ResourceLimitError,
     _index_set,
+    _require_index_qubits,
     _require_qubits,
     basis_state,
     measure,
@@ -31,8 +32,7 @@ class Oracle:
 
     Give exactly one of `marked` (explicit index set) or `predicate`
     (opaque 0/1 function of the basis index). eval_count records how many
-    times the oracle was queried through invert_phase_marked; direct
-    is_marked calls are bookkeeping, not queries.
+    times the oracle was queried: once per phase flip of the marked states.
     """
 
     n: int
@@ -42,8 +42,7 @@ class Oracle:
     _indices: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one qubit, got n={self.n}")
+        _require_index_qubits(self.n)
         if (self.marked is None) == (self.predicate is None):
             raise ValueError("give exactly one of marked or predicate")
         if self.marked is not None:
@@ -55,11 +54,6 @@ class Oracle:
         if self._indices is None:
             self._indices = _index_set(1 << self.n, self.predicate)
         return self._indices
-
-    def is_marked(self, r: int) -> bool:
-        if self.marked is not None:
-            return r in self.marked
-        return bool(self.predicate(r))
 
     @property
     def marked_count(self) -> int:
@@ -94,9 +88,9 @@ class SimulationTrace:
 
     steps holds (label, snapshot) pairs, labeled with lowercase roman
     numerals in execution order starting at "i" for the post-init state;
-    it is empty unless the run traced every step. The snapshots are the
-    engine's own vectors, not copies, so in a traced run final_state (the
-    pre-measurement vector) is the last snapshot.
+    it is empty unless the run traced every step. Each snapshot is a copy
+    of the engine's buffer at that step, and in a traced run final_state
+    (the pre-measurement vector) is the last snapshot itself.
     """
 
     n: int
@@ -129,25 +123,44 @@ def roman_numeral(value: int) -> str:
 
 
 def _step_states(
-    state: AmplitudeVector, oracle: Oracle, iterations: int
+    n: int, oracle: Oracle, iterations: int, start: AmplitudeVector | None = None
 ) -> Iterator[AmplitudeVector]:
-    """Yield state, then the fresh vector made by each literal step of each
-    iteration: flip marked, transform, flip zero, transform."""
+    """Run the literal steps of each iteration (flip marked, transform, flip
+    zero, transform) in two vectors of 2**n amplitudes owned for the whole
+    run, and yield the vector that holds the state: first the start state
+    (a copy of `start`, or by default the transform of basis state 0, built
+    in the pair), then the state after each step. A yielded vector is
+    overwritten by the steps after it; copy it to keep it.
+
+    Every step is a call of a public function by its name in this module,
+    where a profiler can wrap it and see each step."""
+    state = basis_state(n, 0, n) if start is None else start.copy()
+    spare = AmplitudeVector(n, np.empty_like(state.amps))
+    if start is None:
+        state, spare = _transform_in_pair(state, spare)
     yield state
     for _ in range(iterations):
-        state = invert_phase_marked(state, oracle)
+        yield invert_phase_marked(state, oracle, in_place=True)
+        state, spare = _transform_in_pair(state, spare)
         yield state
-        state = walsh_hadamard_fast(state)
+        yield invert_phase_zero(state, in_place=True)
+        state, spare = _transform_in_pair(state, spare)
         yield state
-        state = invert_phase_zero(state)
-        yield state
-        state = walsh_hadamard_fast(state)
-        yield state
+
+
+def _transform_in_pair(
+    state: AmplitudeVector, spare: AmplitudeVector
+) -> tuple[AmplitudeVector, AmplitudeVector]:
+    """Transform state in the buffers of state and spare; returns the vector
+    that holds the result and the one left free."""
+    out = walsh_hadamard_fast(state, spare=spare)
+    return (out, spare) if out is state else (out, state)
 
 
 def grover_iteration(state: AmplitudeVector, oracle: Oracle) -> AmplitudeVector:
-    """One search iteration: flip marked, transform, flip zero, transform."""
-    return deque(_step_states(state, oracle, 1), maxlen=1).pop()
+    """One search iteration: flip marked, transform, flip zero, transform.
+    The input is left untouched."""
+    return deque(_step_states(state.n, oracle, 1, state), maxlen=1).pop()
 
 
 def resolve_iterations(config: GroverConfig) -> tuple[int, bool]:
@@ -185,12 +198,13 @@ def run_grover(config: GroverConfig) -> SimulationTrace:
             f"2**{config.max_qubits} amplitudes, the {config.max_qubits}-qubit cap"
         )
     evals_before = config.oracle.eval_count
-    state = walsh_hadamard_fast(basis_state(config.n, 0, config.max_qubits))
     steps: list[tuple[str, AmplitudeVector]] = []
-    # Rebinding state lets an untraced run drop each vector once it is stepped past.
-    for i, state in enumerate(_step_states(state, config.oracle, iterations), start=1):
+    for i, state in enumerate(_step_states(config.n, config.oracle, iterations), start=1):
         if traced:
-            steps.append((roman_numeral(i), state))
+            steps.append((roman_numeral(i), state.copy()))
+    # The loop has run the engine to its end, so its last vector is free to keep.
+    if traced:
+        state = steps[-1][1]
     outcome, _ = measure(state, np.random.default_rng(config.seed))
     return SimulationTrace(
         n=config.n,
@@ -243,11 +257,8 @@ def scan_probabilities(config: GroverConfig, t_max: int) -> list[tuple[int, floa
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    states = _step_states(
-        walsh_hadamard_fast(basis_state(config.n, 0, config.max_qubits)), config.oracle, t_max
-    )
-    probs = map(success_probability, islice(states, None, None, 4), repeat(config.oracle))
-    return list(enumerate(probs))
+    ends = islice(_step_states(config.n, config.oracle, t_max), None, None, 4)
+    return [(t, success_probability(state, config.oracle)) for t, state in enumerate(ends)]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Dense state-vector container and its primitive operations.
 
 Basis indices are little-endian: qubit 0 is bit 0 (the least significant
-bit) of the index. All operations return new vectors; nothing mutates the
-input in place.
+bit) of the index. The public functions return new vectors and never mutate
+their input; the private kernels (_negate_at) work in place, on buffers the
+caller owns.
 """
 from __future__ import annotations
 
@@ -15,6 +16,10 @@ import numpy as np
 # Hard ceiling on qubit count unless explicitly overridden; 2**24 complex
 # amplitudes is 256 MB, the largest size a desk machine handles gracefully.
 DEFAULT_MAX_QUBITS = 24
+
+# Basis indices are int64, so no register is wider than 62 qubits, whatever
+# the memory cap.
+MAX_INDEX_QUBITS = 62
 
 # Algorithm identifier recorded in trace documents. Integer seeds are fed
 # to numpy's default generator, which is PCG64.
@@ -37,6 +42,13 @@ def _require_qubits(n: int, max_qubits: int) -> None:
         raise ValueError(f"need at least one qubit, got n={n}")
     if n > max_qubits:
         raise ResourceLimitError(f"n={n} exceeds the {max_qubits}-qubit cap")
+
+
+def _require_index_qubits(n: int) -> None:
+    """n in 1..MAX_INDEX_QUBITS; checked before any 1 << n, which a huge n
+    would turn into a huge integer."""
+    if not 1 <= n <= MAX_INDEX_QUBITS:
+        raise ValueError(f"n: must be >= 1 and <= {MAX_INDEX_QUBITS}, got {n}")
 
 
 @dataclass
@@ -120,13 +132,15 @@ def measure(state: AmplitudeVector, rng: RandomSource) -> tuple[int, AmplitudeVe
     if abs(total - 1.0) > NORM_TOLERANCE:
         raise ValueError(f"cannot measure: norm {total} differs from 1 by more than {NORM_TOLERANCE}")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    probs = state.amps.real**2 + state.amps.imag**2
-    edges = np.cumsum(probs)
+    # One float64 array holds |amps|**2 and then, in place, its running sums.
+    edges = np.square(state.amps.real)
+    edges += np.square(state.amps.imag)
+    np.cumsum(edges, out=edges)
     # Scaling the draw by the total mass keeps the sample well defined under
     # the small norm drift the precondition allows.
     u = gen.random() * edges[-1]
-    outcome = int(np.searchsorted(edges, u, side="right"))
-    outcome = min(outcome, state.size - 1)
+    outcome = min(int(np.searchsorted(edges, u, side="right")), state.size - 1)
+    del edges  # freed before the collapsed vector is allocated
     amp = state.amps[outcome]
     collapsed = np.zeros(state.size, dtype=np.complex128)
     collapsed[outcome] = amp / abs(amp)
@@ -153,12 +167,10 @@ def _index_set(size: int, selector: Selector, label: str = "selector index") -> 
     return idx
 
 
-def _negate_at(state: AmplitudeVector, idx) -> AmplitudeVector:
-    """Copy of state negated at the checked indices idx; exact negation,
+def _negate_at(amps: np.ndarray, idx) -> None:
+    """Negate amps in place at the checked indices idx; exact negation,
     since multiplying by -1 would turn a -0.0 part into +0.0."""
-    out = state.amps.copy()
-    out[idx] = -out[idx]
-    return AmplitudeVector(state.n, out)
+    amps[idx] = -amps[idx]
 
 
 def _is_permutation(values: np.ndarray) -> bool:
@@ -173,7 +185,10 @@ def apply_phase_flip(state: AmplitudeVector, selector: Selector) -> AmplitudeVec
     or a boolean mask of length 2**n; only the selected entries are touched,
     with no 2**n mask built. Only signs change, and the negation is exact.
     """
-    return _negate_at(state, _index_set(state.size, selector))
+    idx = _index_set(state.size, selector)
+    out = state.copy()
+    _negate_at(out.amps, idx)
+    return out
 
 
 def apply_permutation(state: AmplitudeVector, perm) -> AmplitudeVector:

@@ -3,11 +3,14 @@
 The transform's matrix entry at (q, r) is +-1/sqrt(N) where the sign is
 positive exactly when q AND r has an even number of 1 bits. Two
 implementations are kept deliberately independent: a naive O(4**n)
-matrix-vector product used as a reference, and the O(n * 2**n) butterfly,
-which works on a copy of the amplitudes, used everywhere else.
+matrix-vector product used as a reference, and the O(n * 2**n) butterfly
+used everywhere else. The butterfly is a ping-pong between two buffers of
+2**n amplitudes; the search engine owns such a pair for a whole run and
+hands it in, and other callers get the transform of a copy.
 
-Both phase inversions negate a copy at basis indices (the oracle's cached
-marked indices, or index 0) through one kernel in state.py, with no 2**n mask.
+Both phase inversions negate at basis indices (the oracle's cached marked
+indices, or index 0) through one kernel in state.py, with no 2**n mask;
+they negate a copy unless told to work in place, as the engine does.
 """
 from __future__ import annotations
 
@@ -62,35 +65,60 @@ def walsh_hadamard_naive(state: AmplitudeVector) -> AmplitudeVector:
     return AmplitudeVector(state.n, out)
 
 
-def walsh_hadamard_fast(state: AmplitudeVector) -> AmplitudeVector:
-    """Butterfly transform: n passes over a copy of the amplitudes.
+def walsh_hadamard_fast(
+    state: AmplitudeVector, *, spare: AmplitudeVector | None = None
+) -> AmplitudeVector:
+    """Butterfly transform in n passes, ping-ponging between two buffers.
 
     Pass k pairs every two indices differing in bit k and maps (x, y) to
     ((x + y)/sqrt(2), (x - y)/sqrt(2)), so the overall 1/sqrt(N) scale
     arrives one factor per pass. Matches walsh_hadamard_naive to roundoff.
+    Each pass reads the even and odd entries of one buffer, which differ in
+    the lowest bit of the index, and writes the sums to the low half and the
+    differences to the high half of the other; that moves the bit to the
+    top, so the n-th pass puts every bit back in place. The 1-D views need
+    no temporaries.
+
+    Without spare, the input is left untouched and the result is new. With
+    spare, a separate vector of the same size whose amplitudes are free, the
+    passes run in the two buffers and allocate nothing: both are
+    overwritten, and the one returned (state or spare) holds the result.
     """
-    a = state.amps.copy()
+    if spare is None:
+        state, spare = state.copy(), AmplitudeVector(state.n, np.empty_like(state.amps))
+    elif spare.n != state.n or np.may_share_memory(spare.amps, state.amps):
+        raise ValueError("spare must be a separate vector of the same size as the state")
+    a, b = state.amps, spare.amps
+    half = a.size >> 1
     scale = 1.0 / math.sqrt(2.0)
-    for k in range(state.n):
-        a = a.reshape(-1, 2, 1 << k)
-        lo = a[:, 0, :].copy()
-        hi = a[:, 1, :]
-        a[:, 0, :] = (lo + hi) * scale
-        a[:, 1, :] = (lo - hi) * scale
-        a = a.reshape(-1)
-    return AmplitudeVector(state.n, a)
+    for _ in range(state.n):
+        lo, hi = a[0::2], a[1::2]
+        np.add(lo, hi, out=b[:half])
+        np.subtract(lo, hi, out=b[half:])
+        b *= scale
+        a, b = b, a
+    return state if a is state.amps else spare
 
 
-def invert_phase_marked(state: AmplitudeVector, oracle) -> AmplitudeVector:
+def invert_phase_marked(
+    state: AmplitudeVector, oracle, *, in_place: bool = False
+) -> AmplitudeVector:
     """Negate every marked amplitude; counts as one oracle evaluation.
 
     The oracle is queried once in superposition over the whole register,
-    so oracle.eval_count goes up by exactly 1 per call.
+    so oracle.eval_count goes up by exactly 1 per call. The input is left
+    untouched and a negated copy returned, unless in_place is set: then
+    state itself is negated and returned.
     """
+    out = state if in_place else state.copy()
     oracle.eval_count += 1
-    return _negate_at(state, oracle.marked_indices())
+    _negate_at(out.amps, oracle.marked_indices())
+    return out
 
 
-def invert_phase_zero(state: AmplitudeVector) -> AmplitudeVector:
-    """Negate the amplitude of basis state 0, leaving the rest alone."""
-    return _negate_at(state, 0)
+def invert_phase_zero(state: AmplitudeVector, *, in_place: bool = False) -> AmplitudeVector:
+    """Negate the amplitude of basis state 0, leaving the rest alone; on a
+    copy, or on state itself if in_place is set."""
+    out = state if in_place else state.copy()
+    _negate_at(out.amps, 0)
+    return out

@@ -102,10 +102,20 @@ def test_trace_round_trip_with_empty_steps():
     assert render_trace_document(parsed) == text
 
 
+INT_FIELDS = ("n", "seed", "outcome", "oracle_evals")
+
+
 @st.composite
 def trace_document_fields(draw):
     """Constructor arguments for n <= 4: finite snapshots with signed zeros,
-    each normalized or left as drawn, plus unicode labels and metadata."""
+    each normalized or left as drawn, plus unicode labels and metadata. One
+    integer field in eight holds a bool, a float or a string instead."""
+
+    def maybe_bad(value):
+        if draw(st.integers(0, 7)):
+            return value
+        return draw(st.one_of(st.booleans(), st.floats(), st.text()))
+
     n = draw(st.integers(1, 4))
     size = 1 << n
     part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
@@ -117,9 +127,9 @@ def trace_document_fields(draw):
                 amps = amps / np.linalg.norm(amps)
         steps.append((draw(st.text()), amps))
     return dict(
-        n=n, seed=draw(st.integers(min_value=0)), steps=steps,
-        outcome=draw(st.integers(0, size - 1)), oracle_evals=draw(st.integers(min_value=0)),
-        algorithm=draw(st.text()),
+        n=maybe_bad(n), seed=maybe_bad(draw(st.integers(min_value=0))), steps=steps,
+        outcome=maybe_bad(draw(st.integers(0, size - 1))),
+        oracle_evals=maybe_bad(draw(st.integers(min_value=0))), algorithm=draw(st.text()),
     )
 
 
@@ -128,11 +138,16 @@ def trace_document_fields(draw):
 @settings(deadline=None, max_examples=200)
 @given(trace_document_fields())
 def test_every_constructible_trace_document_round_trips(fields):
+    bad = [name for name in INT_FIELDS if type(fields[name]) is not int]
     try:
         doc = TraceDocument(**fields)
     except ValueError as exc:
-        assert "snapshot norm differs from 1" in str(exc)
+        if bad:
+            assert str(exc) == f"{bad[0]}: expected an integer, got {fields[bad[0]]!r}"
+        else:
+            assert "snapshot norm differs from 1" in str(exc)
         return
+    assert not bad
     text = render_trace_document(doc)
     parsed = parse_trace_document(text)
     assert render_trace_document(parsed) == text
@@ -159,6 +174,15 @@ def test_trace_document_validation():
         TraceDocument(n=63, seed=0, steps=[], outcome=0, oracle_evals=0)
     with pytest.raises(TypeError, match="format_version"):
         TraceDocument(n=1, seed=0, steps=[], outcome=0, oracle_evals=0, format_version="1")
+
+
+@pytest.mark.parametrize("field", INT_FIELDS)
+@pytest.mark.parametrize("value", [True, False, 1.0, "1", None])
+def test_trace_document_rejects_integer_fields_of_other_types(field, value):
+    fields = dict(n=1, seed=0, steps=[], outcome=0, oracle_evals=0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field}: expected an integer, got {value!r}$"):
+        TraceDocument(**fields)
 
 
 def test_parse_trace_rejects_bad_documents():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from groversim import (
     basis_state,
     classical_baseline,
     grover_iteration,
+    invert_phase_marked,
+    invert_phase_zero,
     optimal_iterations,
     resolve_iterations,
     roman_numeral,
@@ -48,6 +51,20 @@ def test_oracle_rejects_out_of_range_marked():
         Oracle(2, marked={7, -3, 5, 1})
 
 
+def test_oracle_rejects_a_huge_n_before_computing_the_size():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n: must be >= 1 and <= 62, got 100000000"):
+            Oracle(10**8, marked={1})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="n: must be >= 1 and <= 62, got 0"):
+        Oracle(0, predicate=bool)
+    assert Oracle(62, marked={(1 << 62) - 1}).marked_count == 1
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.data())
 def test_set_and_predicate_oracles_agree(data):
@@ -80,14 +97,6 @@ def test_oracle_predicate_tabulates_once():
     assert oracle.marked_indices().tolist() == [2, 5]
     assert oracle.marked_indices().tolist() == [2, 5]
     assert len(calls) == 8  # one pass over all basis states
-
-
-def test_oracle_is_marked():
-    oracle = Oracle(2, marked={2})
-    assert oracle.is_marked(2)
-    assert not oracle.is_marked(1)
-    by_pred = Oracle(2, predicate=lambda r: r == 2)
-    assert by_pred.is_marked(2)
 
 
 def test_config_validation():
@@ -128,6 +137,42 @@ def test_run_grover_trace_labels_and_values():
     assert trace.oracle_evals == 1
     assert trace.iterations == 1
     assert not trace.degenerate
+
+
+def test_traced_snapshots_match_the_public_step_functions():
+    oracle = Oracle(4, marked={5, 9})
+    trace = run_grover(GroverConfig(4, oracle, iterations=2, trace_every_step=True))
+    steps = [lambda v: invert_phase_marked(v, oracle), walsh_hadamard_fast,
+             invert_phase_zero, walsh_hadamard_fast]
+    state = walsh_hadamard_fast(basis_state(4, 0))
+    for i, (_, snap) in enumerate(trace.steps):
+        if i > 0:
+            state = steps[(i - 1) % 4](state)
+        assert snap.amps.tobytes() == state.amps.tobytes()
+
+
+def test_every_step_goes_through_the_public_step_functions(monkeypatch):
+    """Profilers see the engine's steps by wrapping these names in the
+    grover module, so the engine must call them there."""
+    import groversim.grover as grover
+
+    calls = []
+    for name in ("basis_state", "walsh_hadamard_fast", "invert_phase_marked", "invert_phase_zero"):
+        original = getattr(grover, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(grover, name, spy)
+    oracle = Oracle(4, marked={5})
+    run_grover(GroverConfig(4, oracle, iterations=3))
+    steps = ["invert_phase_marked", "walsh_hadamard_fast", "invert_phase_zero",
+             "walsh_hadamard_fast"]
+    assert calls == ["basis_state", "walsh_hadamard_fast", *steps * 3]
+    calls.clear()
+    scan_probabilities(GroverConfig(4, oracle), 2)
+    assert calls == ["basis_state", "walsh_hadamard_fast", *steps * 2]
 
 
 def test_run_grover_two_iterations_has_nine_snapshots():
@@ -281,6 +326,8 @@ def test_scan_runs_and_traces_share_one_step_loop():
         assert p == success_probability(run.final_state, oracle)
     trace = run_grover(GroverConfig(n, oracle, iterations=8, trace_every_step=True))
     assert trace.final_state is trace.steps[-1][1]
+    arrays = [snap.amps for _, snap in trace.steps]
+    assert not any(np.shares_memory(x, y) for x, y in combinations(arrays, 2))
     state = walsh_hadamard_fast(basis_state(n, 0))
     for t, (_, snap) in enumerate(trace.steps[::4]):
         if t > 0:
@@ -304,7 +351,8 @@ def test_untraced_run_and_scan_keep_few_states_alive():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5.5 * state_bytes
+        # The engine's two buffers, and nothing else of the state's size.
+        assert peak < 2.6 * state_bytes
 
 
 def test_traced_run_volume_is_capped_before_simulating():

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groversim import (
     AmplitudeVector,
     Oracle,
     ResourceLimitError,
     basis_state,
+    grover_iteration,
     invert_phase_marked,
     invert_phase_zero,
     norm,
@@ -127,6 +130,78 @@ def test_fast_transform_keeps_real_states_real():
     v = AmplitudeVector(5, rng.normal(size=32))
     got = walsh_hadamard_fast(v)
     assert not got.amps.imag.any()
+
+
+def reshape_butterfly(amps: np.ndarray) -> np.ndarray:
+    """The butterfly as first written: per pass, reshape so that bit k is the
+    middle axis and assign (lo + hi) * scale and (lo - hi) * scale."""
+    a = amps.copy()
+    scale = 1.0 / math.sqrt(2.0)
+    for k in range(a.size.bit_length() - 1):
+        a = a.reshape(-1, 2, 1 << k)
+        lo = a[:, 0, :].copy()
+        hi = a[:, 1, :]
+        a[:, 0, :] = (lo + hi) * scale
+        a[:, 1, :] = (lo - hi) * scale
+        a = a.reshape(-1)
+    return a
+
+
+@st.composite
+def signed_zero_states(draw):
+    """Unnormalized states for n <= 7 whose parts are often +0.0 or -0.0."""
+    n = draw(st.integers(1, 7))
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    parts = draw(st.lists(part, min_size=2 << n, max_size=2 << n))
+    return AmplitudeVector(n, np.array(parts).view(np.complex128))
+
+
+@settings(deadline=None, max_examples=200)
+@given(signed_zero_states(), st.data())
+def test_fast_transform_and_iteration_match_the_reshape_butterfly_bit_for_bit(state, data):
+    before = state.amps.tobytes()
+    assert walsh_hadamard_fast(state).amps.tobytes() == reshape_butterfly(state.amps).tobytes()
+    marked = data.draw(st.frozensets(st.integers(0, state.size - 1)))
+    idx = np.array(sorted(marked), dtype=np.int64)
+    want = state.amps.copy()
+    want[idx] = -want[idx]
+    want = reshape_butterfly(want)
+    want[0] = -want[0]
+    want = reshape_butterfly(want)
+    assert grover_iteration(state, Oracle(state.n, marked=marked)).amps.tobytes() == want.tobytes()
+    assert state.amps.tobytes() == before
+
+
+@settings(deadline=None, max_examples=100)
+@given(signed_zero_states())
+def test_fast_transform_with_a_spare_runs_in_the_two_buffers(state):
+    want = walsh_hadamard_fast(state).amps.tobytes()
+    spare = AmplitudeVector(state.n, np.empty_like(state.amps))
+    buffers = (state.amps, spare.amps)
+    got = walsh_hadamard_fast(state, spare=spare)
+    # The result sits in state's buffer after an even number of passes.
+    assert got is (state if state.n % 2 == 0 else spare)
+    assert (state.amps, spare.amps) == buffers
+    assert got.amps.tobytes() == want
+
+
+def test_fast_transform_rejects_a_spare_that_is_not_a_separate_buffer():
+    v = uniform_state(3)
+    for spare in (v, AmplitudeVector(3, v.amps), uniform_state(2)):
+        with pytest.raises(ValueError, match="spare must be a separate vector"):
+            walsh_hadamard_fast(v, spare=spare)
+
+
+def test_phase_flips_in_place_negate_the_state_itself():
+    amps = np.array([1.0, -0.0, 0.0, 2.0]) + 1j * np.array([0.0, 1.0, -0.0, 0.0])
+    oracle = Oracle(2, marked={1, 2})
+    v = AmplitudeVector(2, amps.copy())
+    assert invert_phase_marked(v, oracle, in_place=True) is v
+    assert oracle.eval_count == 1
+    assert v.amps.tobytes() == invert_phase_marked(AmplitudeVector(2, amps), oracle).amps.tobytes()
+    w = AmplitudeVector(2, amps.copy())
+    assert invert_phase_zero(w, in_place=True) is w
+    assert w.amps.tobytes() == invert_phase_zero(AmplitudeVector(2, amps)).amps.tobytes()
 
 
 def test_fast_transform_does_not_mutate_input():
