@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Any, Callable, Iterable, Union
 
 import numpy as np
 
@@ -37,7 +37,18 @@ RandomSource = Union[int, np.random.Generator]
 Selector = Union[Callable[[int], bool], Iterable[int], np.ndarray]
 
 
+def _as_int(value: Any, where: str, minimum: int | None = None) -> int:
+    """value itself if it is an int and not a bool (which is no count and
+    not a JSON number), at least `minimum` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{where}: must be >= {minimum}, got {value}")
+    return value
+
+
 def _require_qubits(n: int, max_qubits: int) -> None:
+    _as_int(n, "n")
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
     if n > max_qubits:
@@ -47,6 +58,7 @@ def _require_qubits(n: int, max_qubits: int) -> None:
 def _require_index_qubits(n: int) -> None:
     """n in 1..MAX_INDEX_QUBITS; checked before any 1 << n, which a huge n
     would turn into a huge integer."""
+    _as_int(n, "n")
     if not 1 <= n <= MAX_INDEX_QUBITS:
         raise ValueError(f"n: must be >= 1 and <= {MAX_INDEX_QUBITS}, got {n}")
 

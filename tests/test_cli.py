@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -80,6 +81,24 @@ def test_run_writes_trace_document(tmp_path, capsys):
     for (_, amps), expected in zip(doc.steps, FOUR_STATE_TRACE):
         assert np.max(np.abs(amps - np.array(expected))) <= 1e-12
     assert doc.outcome == 2
+
+
+# Trace files written by `grover run --trace`: (qubits, marked, seed) ->
+# (bytes, sha256). The n=9 document holds 51 negative zeros, written "-0.0".
+TRACE_GOLDENS = {
+    ("6", "5,40", "9"): (23109, "0f7bd039368194c2cc36d796ddabbc2f529f48da4963043a56071b757b1253f8"),
+    ("9", "300", "4"): (904371, "2479c452894f18d60b0f133fa4625a21210a05782f22982424018d32d53cacc3"),
+}
+
+
+@pytest.mark.parametrize("qubits, marked, seed", list(TRACE_GOLDENS))
+def test_run_trace_file_golden(qubits, marked, seed, tmp_path, capsys):
+    path = tmp_path / "trace.json"
+    argv = ["grover", "run", "--qubits", qubits, "--marked", marked, "--seed", seed, "--trace", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    data = path.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == TRACE_GOLDENS[qubits, marked, seed]
 
 
 def test_run_degenerate_marking_warns(capsys):

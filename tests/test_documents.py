@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from groversim import (
     render_trace_document,
     run_grover,
 )
+from groversim.documents import _format_floats
 
 ADDER_DOC = """{
   "format_version": "1",
@@ -90,6 +92,63 @@ def test_trace_round_trip_bytes_and_floats():
     for (label_a, amps_a), (label_b, amps_b) in zip(parsed.steps, doc.steps):
         assert label_a == label_b
         assert np.array_equal(amps_a, amps_b)
+
+
+def format_every_value(amps):
+    """The per-value renderer the value table replaced: every double
+    through _format_floats, then one zip join."""
+    parts = _format_floats(amps.view(np.float64))
+    return ",".join([f"[{re},{im}]" for re, im in zip(parts[::2], parts[1::2])])
+
+
+def render_differences(doc):
+    """None when the table renderer writes what the per-value renderer
+    writes, else the first differing offset with both contexts; a plain ==
+    would have pytest diff megabytes of text."""
+    got = render_trace_document(doc)
+    with mock.patch("groversim.documents._format_pairs", format_every_value):
+        want = render_trace_document(doc)
+    if got == want:
+        return None
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return i, got[i - 40:i + 40], want[i - 40:i + 40]
+
+
+@st.composite
+def repetitive_snapshots(draw):
+    """A unit vector for n <= 6 whose parts come from a pool of one to all
+    2 * 2**n values, zeros of both signs included: few distinct values,
+    many, or all."""
+    n = draw(st.integers(1, 6))
+    count = 2 << n
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1, 1))
+    pool = draw(st.lists(part, min_size=1, max_size=count))
+    if len(pool) == count:
+        parts = pool
+    else:
+        parts = draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+    amps = np.array(parts).view(np.complex128)
+    with np.errstate(all="ignore"):
+        return n, amps / np.linalg.norm(amps)
+
+
+@settings(deadline=None, max_examples=300)
+@given(repetitive_snapshots())
+def test_table_renderer_matches_the_per_value_renderer(snapshot):
+    n, amps = snapshot
+    try:
+        doc = TraceDocument(n, 0, [("i", amps), ("ii", -amps)], 0, 0)
+    except ValueError:
+        return  # an all-zero or subnormal pool has no unit-norm scaling
+    assert render_differences(doc) is None
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_traced_runs_render_as_the_per_value_renderer_does(n):
+    marked = {(5 * n) % (1 << n)} if n < 4 else {3, (1 << n) - 2}
+    trace = run_grover(GroverConfig(n, Oracle(n, marked=marked), seed=n, trace_every_step=True))
+    doc = TraceDocument.from_trace(trace)
+    assert render_differences(doc) is None
 
 
 def test_trace_round_trip_with_empty_steps():
@@ -248,11 +307,39 @@ def test_parse_trace_rejects_a_huge_n_without_allocating():
         parse_trace_document(text.replace("1000000000", str(10**30)))
 
 
+def long_trace_raw():
+    """Two snapshots of 1024 amplitudes each, as parsed JSON."""
+    amps = np.full(1024, 1 / 32, dtype=np.complex128)
+    return json.loads(render_trace_document(TraceDocument(10, 0, [("i", amps), ("ii", amps)], 0, 0)))
+
+
+@pytest.mark.parametrize(
+    "bad", [True, [0.5, False], [0.1, 0.2, 0.3], [0.5], "0.5", {"re": 0.5}, [1, [2]], None]
+)
+@pytest.mark.parametrize("j", [0, 1000, 1023])
+def test_parse_trace_names_the_first_bad_pair(bad, j):
+    raw = long_trace_raw()
+    raw["steps"][1]["amplitudes"][j] = bad
+    # The bad pair alone, then with a second one at 1020.
+    for first in (j, min(j, 1020)):
+        with pytest.raises(ValueError) as info:
+            parse_trace_document(json.dumps(raw))
+        assert str(info.value) == (
+            f"trace document: steps[1].amplitudes[{first}]: expected an [re, im] pair of numbers"
+        )
+        raw["steps"][1]["amplitudes"][1020] = [0.5, "x"]
+
+
 def test_parse_trace_rejects_an_integer_too_large_for_a_double():
     raw = json.loads(render_trace_document(four_state_trace_doc()))
     raw["steps"][0]["amplitudes"][1] = [10**400, 0]
     with pytest.raises(ValueError, match=r"trace document: steps\[0\].amplitudes: "):
         parse_trace_document(json.dumps(raw))
+    raw = long_trace_raw()
+    raw["steps"][1]["amplitudes"][1000] = [0, 10**400]
+    with pytest.raises(ValueError) as info:
+        parse_trace_document(json.dumps(raw))
+    assert str(info.value) == "trace document: steps[1].amplitudes: an integer is too large for a double"
 
 
 def test_parse_trace_enforces_unit_norm_per_step():

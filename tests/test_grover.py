@@ -65,6 +65,25 @@ def test_oracle_rejects_a_huge_n_before_computing_the_size():
     assert Oracle(62, marked={(1 << 62) - 1}).marked_count == 1
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "2", None])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: Oracle(n, marked={1}),
+        lambda n: Oracle(n, predicate=bool),
+        lambda n: GroverConfig(n, Oracle(1, marked={1})),
+        lambda n: basis_state(n, 0),
+        lambda n: uniform_state(n),
+    ],
+    ids=["oracle-marked", "oracle-predicate", "config", "basis_state", "uniform_state"],
+)
+def test_qubit_counts_must_be_integers(build, n):
+    # A bool would run a 1-qubit search whose trace document is refused;
+    # a float would reach 1 << n.
+    with pytest.raises(ValueError, match=f"^n: expected an integer, got {n!r}$"):
+        build(n)
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.data())
 def test_set_and_predicate_oracles_agree(data):
