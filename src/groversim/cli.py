@@ -94,6 +94,13 @@ def _load_circuit(path: str) -> ReversibleCircuit:
     return parse_circuit_document(text)
 
 
+def _write_document(path: str, text: str, kind: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {kind} document {path!r}: {exc}") from None
+
+
 def cmd_grover_run(args: argparse.Namespace) -> int:
     cap = _qubit_cap()
     # Before Oracle, which computes 1 << n.
@@ -126,7 +133,7 @@ def cmd_grover_run(args: argparse.Namespace) -> int:
         print(f"oracle_evals: {trace.oracle_evals}")
     if args.trace is not None:
         doc = TraceDocument.from_trace(trace)
-        Path(args.trace).write_text(render_trace_document(doc), encoding="utf-8")
+        _write_document(args.trace, render_trace_document(doc), "trace")
     return 0
 
 
@@ -173,7 +180,7 @@ def cmd_circuit_invert(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.path)
     text = render_circuit_document(inverse_circuit(circuit))
     if args.output is not None:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write_document(args.output, text, "circuit")
     else:
         sys.stdout.write(text)
     return 0

@@ -5,9 +5,11 @@ Gate and ReversibleCircuit) check every rule of a document, the parsers
 check JSON types and name the offending field, and the renderers only
 format. Floats take 17 significant digits, so a write-read cycle keeps
 every double, and the layout is fixed, so equal documents are byte-identical.
-A trace snapshot formats each distinct amplitude once, by bit pattern, and
-its parser checks the types of all [re, im] pairs in bulk; neither changes
-a byte of what is written or read.
+A trace snapshot formats each distinct amplitude once, by bit pattern. The
+parser packs each snapshot into a complex128 vector as soon as JSON closes
+its step, after one bulk type check of its [re, im] pairs, so it never holds
+the list tree of more than one snapshot; neither changes a byte of what is
+written or read.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, ClassVar
+from typing import Any, Callable, ClassVar, NoReturn
 
 import numpy as np
 
@@ -135,12 +137,12 @@ def render_trace_document(doc: TraceDocument) -> str:
     return "\n".join(lines)
 
 
-def _load_json(text: str, where: str) -> Any:
+def _load_json(text: str, where: str, object_hook: Callable[[dict], Any] | None = None) -> Any:
     def reject_constant(literal: str) -> Any:
         raise ValueError(f"{where}: {literal} is not a finite number")
 
     try:
-        return json.loads(text, parse_constant=reject_constant)
+        return json.loads(text, parse_constant=reject_constant, object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -153,17 +155,45 @@ def _check_version(raw: dict, expected: str, where: str) -> None:
         raise ValueError(f"{where}: format_version: expected {expected!r}, got {version!r}")
 
 
-def _flat_pairs(pairs: list, spot: str) -> list:
-    """The numbers of a list of [re, im] pairs, in order, checked in bulk.
-
-    Exact types: bool is a subclass of int but not a JSON number. The
-    per-pair loop runs only when the bulk check fails, to name the first
-    pair that fails it."""
+def _flat_pairs(pairs: list) -> list | None:
+    """The numbers of a list of [re, im] pairs, in order, checked in bulk;
+    None when some entry is not such a pair. Exact types: bool is a
+    subclass of int but not a JSON number."""
     if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}:
         flat = list(chain.from_iterable(pairs))
         if set(map(type, flat)) <= {int, float}:
             return flat
-    for j, pair in enumerate(pairs):
+    return None
+
+
+def _pack_amplitudes(obj: dict) -> dict:
+    """JSON object hook: replaces an "amplitudes" list that passes the bulk
+    check by its complex128 vector as soon as the scanner closes the object,
+    so that list tree is freed before the next step is read.
+
+    It never raises. A list that fails the check, or holds an integer too
+    large for a double, stays in place for the step loop to report."""
+    pairs = obj.get("amplitudes")
+    if type(pairs) is list:
+        flat = _flat_pairs(pairs)
+        if flat is not None:
+            try:
+                obj["amplitudes"] = np.array(flat, dtype=np.float64).view(np.complex128)
+            except OverflowError:
+                pass
+    return obj
+
+
+def _reject_amplitudes(value: Any, spot: str) -> NoReturn:
+    """Names the fault of an "amplitudes" value the object hook left as is.
+    The hook packs every list that passes the bulk check unless a number in
+    it is too large for a double; the per-pair loop names the first pair
+    that fails the check."""
+    if not isinstance(value, list):
+        raise ValueError(f"{spot}.amplitudes: expected a list")
+    if _flat_pairs(value) is not None:
+        raise ValueError(f"{spot}.amplitudes: an integer is too large for a double")
+    for j, pair in enumerate(value):
         if not (type(pair) is list and len(pair) == 2
                 and type(pair[0]) in (int, float) and type(pair[1]) in (int, float)):
             raise ValueError(f"{spot}.amplitudes[{j}]: expected an [re, im] pair of numbers")
@@ -172,7 +202,7 @@ def _flat_pairs(pairs: list, spot: str) -> list:
 
 def parse_trace_document(text: str) -> TraceDocument:
     where = "trace document"
-    raw = _load_json(text, where)
+    raw = _load_json(text, where, _pack_amplitudes)
     if not isinstance(raw, dict):
         raise ValueError(f"{where}: top level must be an object")
     _check_version(raw, TRACE_FORMAT_VERSION, where)
@@ -195,14 +225,11 @@ def parse_trace_document(text: str) -> TraceDocument:
         label = entry.get("label")
         if not isinstance(label, str):
             raise ValueError(f"{spot}.label: expected a string, got {label!r}")
-        pairs = entry.get("amplitudes")
-        if not isinstance(pairs, list):
-            raise ValueError(f"{spot}.amplitudes: expected a list")
-        try:
-            values = np.array(_flat_pairs(pairs, spot), dtype=np.float64)
-        except OverflowError:
-            raise ValueError(f"{spot}.amplitudes: an integer is too large for a double") from None
-        steps.append((label, values.view(np.complex128)))
+        amps = entry.get("amplitudes")
+        # JSON yields no arrays: an array here is one the object hook packed.
+        if not isinstance(amps, np.ndarray):
+            _reject_amplitudes(amps, spot)
+        steps.append((label, amps))
     outcome = _as_int(raw.get("outcome"), f"{where}: outcome")
     evals = _as_int(raw.get("oracle_evals"), f"{where}: oracle_evals")
     try:

@@ -15,6 +15,7 @@ from .state import (
     DEFAULT_MAX_QUBITS,
     AmplitudeVector,
     ResourceLimitError,
+    _as_int,
     _index_set,
     _require_index_qubits,
     _require_qubits,
@@ -78,8 +79,8 @@ class GroverConfig:
         if isinstance(self.iterations, str):
             if self.iterations != "auto":
                 raise ValueError(f"iterations must be a count or 'auto', got {self.iterations!r}")
-        elif self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        else:
+            _as_int(self.iterations, "iterations", minimum=0)
 
 
 @dataclass
@@ -177,7 +178,7 @@ def resolve_iterations(config: GroverConfig) -> tuple[int, bool]:
         if k == 0:
             raise ValueError("cannot auto-select iterations: oracle marks no states")
         return optimal_iterations(size, k), 2 * k >= size
-    return int(config.iterations), False
+    return config.iterations, False
 
 
 def run_grover(config: GroverConfig) -> SimulationTrace:
@@ -255,8 +256,7 @@ def scan_probabilities(config: GroverConfig, t_max: int) -> list[tuple[int, floa
     Runs incrementally, so the whole series costs one length-t_max run:
     every fourth vector of the step loop ends an iteration.
     """
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    _as_int(t_max, "t_max", minimum=1)
     ends = islice(_step_states(config.n, config.oracle, t_max), None, None, 4)
     return [(t, success_probability(state, config.oracle)) for t, state in enumerate(ends)]
 

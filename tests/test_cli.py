@@ -326,6 +326,23 @@ def test_circuit_invert_to_file(tmp_path, capsys):
     assert parsed == inverse_circuit(adder_circuit())
 
 
+def test_run_trace_write_error_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "t.json")
+    assert main(["grover", "run", "--qubits", "2", "--marked", "2", "--trace", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write trace document {path!r}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_circuit_invert_write_error_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "inverse.json")
+    assert main(["circuit", "invert", write_adder(tmp_path), "--output", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write circuit document {path!r}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_circuit_missing_file_exits_2(tmp_path, capsys):
     assert main(["circuit", "verify", str(tmp_path / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -23,6 +23,7 @@ from groversim import (
     render_trace_document,
     run_grover,
 )
+from groversim.cli import main
 from groversim.documents import _format_floats
 
 ADDER_DOC = """{
@@ -360,6 +361,98 @@ def test_parse_trace_rejects_non_finite_literals():
         )
         with pytest.raises(ValueError, match=f"trace document: {literal} is not a finite number"):
             parse_trace_document(text)
+
+
+@pytest.mark.parametrize("qubits", [9, 10])
+def test_parse_trace_peaks_below_the_text_length(qubits, tmp_path, capsys):
+    # Each snapshot is packed as JSON closes its step, so the parse never
+    # holds the list tree of the whole document (about 5x its text).
+    path = tmp_path / "trace.json"
+    assert main(["grover", "run", "--qubits", str(qubits), "--marked", "3", "--trace", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        doc = parse_trace_document(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(doc.steps) > 50
+    assert peak < len(text)
+
+
+def assert_same_document(parsed, doc):
+    assert (parsed.n, parsed.seed, parsed.algorithm) == (doc.n, doc.seed, doc.algorithm)
+    assert (parsed.outcome, parsed.oracle_evals) == (doc.outcome, doc.oracle_evals)
+    assert [label for label, _ in parsed.steps] == [label for label, _ in doc.steps]
+    for (_, got), (_, want) in zip(parsed.steps, doc.steps):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_parse_trace_ignores_amplitudes_outside_the_steps():
+    doc = four_state_trace_doc()
+    raw = json.loads(render_trace_document(doc))
+    raw["amplitudes"] = [[1, 0]]
+    raw["rng"]["amplitudes"] = [[0.5, 0.5], [0.5, 0.5]]
+    raw["steps"][1]["extra"] = {"amplitudes": [[2, 0]], "inner": {"amplitudes": "x"}}
+    assert_same_document(parse_trace_document(json.dumps(raw)), doc)
+
+
+def test_parse_trace_accepts_any_key_layout():
+    doc = four_state_trace_doc()
+    raw = json.loads(render_trace_document(doc))
+    raw["steps"][0]["note"] = [[1, 0], [0, 1]]
+    raw["steps"][0]["z"] = None
+    raw["steps"][2] = dict(reversed(list(raw["steps"][2].items())))
+    raw = dict(reversed(list(raw.items())))
+    assert_same_document(parse_trace_document(json.dumps(raw, indent=3)), doc)
+
+
+def test_parse_trace_takes_the_last_duplicate_amplitudes_key():
+    doc = four_state_trace_doc()
+    text = render_trace_document(doc)
+    bad_first = text.replace('"amplitudes": [', '"amplitudes": [[true, 0]], "amplitudes": [', 1)
+    assert_same_document(parse_trace_document(bad_first), doc)
+    good_first = text.replace('"label": "i", ', '"label": "i", "amplitudes": [[0.5, 0.5]], ', 1)
+    assert_same_document(parse_trace_document(good_first), doc)
+    bad_last = text.replace("]]}", "]], \"amplitudes\": [[0.5, 0], [false, 0]]}", 1)
+    with pytest.raises(ValueError) as info:
+        parse_trace_document(bad_last)
+    assert str(info.value) == (
+        "trace document: steps[0].amplitudes[1]: expected an [re, im] pair of numbers"
+    )
+
+
+@pytest.mark.parametrize(
+    "value", [{"re": 0.5}, {"amplitudes": [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]]}, "[[1, 0]]"]
+)
+def test_parse_trace_rejects_amplitudes_that_are_not_a_list(value):
+    raw = json.loads(render_trace_document(four_state_trace_doc()))
+    raw["steps"][1]["amplitudes"] = value
+    with pytest.raises(ValueError) as info:
+        parse_trace_document(json.dumps(raw))
+    assert str(info.value) == "trace document: steps[1].amplitudes: expected a list"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([0, 10**400], "steps[3].amplitudes: an integer is too large for a double"),
+        ([0.5, True], "steps[3].amplitudes[2]: expected an [re, im] pair of numbers"),
+    ],
+)
+def test_parse_trace_reports_a_bad_later_step_after_packed_ones(bad, message):
+    raw = json.loads(render_trace_document(four_state_trace_doc()))
+    raw["steps"][3]["amplitudes"][2] = bad
+    raw["steps"][4]["amplitudes"][0] = [0.5, False]
+    with pytest.raises(ValueError) as info:
+        parse_trace_document(json.dumps(raw))
+    assert str(info.value) == f"trace document: {message}"
+    # Top-level fields are still checked before any step.
+    raw["n"] = "2"
+    with pytest.raises(ValueError) as info:
+        parse_trace_document(json.dumps(raw))
+    assert str(info.value) == "trace document: n: expected an integer, got '2'"
 
 
 def test_circuit_render_golden():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -393,6 +394,15 @@ def test_traced_run_volume_is_capped_before_simulating():
     # the auto iteration count is worked out.
     with pytest.raises(ResourceLimitError, match="n=40 exceeds the 24-qubit cap"):
         GroverConfig(40, Oracle(40, marked={1}))
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, True, np.int64(2)])
+def test_iteration_counts_must_be_int(count):
+    oracle = Oracle(2, marked={2})
+    with pytest.raises(ValueError, match=f"^iterations: expected an integer, got {re.escape(repr(count))}$"):
+        GroverConfig(2, oracle, iterations=count)
+    with pytest.raises(ValueError, match=f"^t_max: expected an integer, got {re.escape(repr(count))}$"):
+        scan_probabilities(GroverConfig(2, oracle), count)
 
 
 def test_scan_probabilities_rejects_bad_horizon():
