@@ -101,9 +101,17 @@ def _write_document(path: str, text: str, kind: str) -> None:
         raise ValueError(f"cannot write {kind} document {path!r}: {exc}") from None
 
 
+def _require_writable(path: str, kind: str) -> None:
+    """Fails as _write_document would if the directory of path is missing
+    or not writable, but before any work is done."""
+    folder = os.path.dirname(path) or os.curdir
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise ValueError(f"cannot write {kind} document {path!r}: no writable directory {folder!r}")
+
+
 def cmd_grover_run(args: argparse.Namespace) -> int:
     cap = _qubit_cap()
-    # Before Oracle, which computes 1 << n.
+    # Over the cap is exit 3, however large; Oracle refuses n > 62 with exit 2.
     _require_qubits(args.qubits, cap)
     oracle = Oracle(args.qubits, marked=args.marked)
     config = GroverConfig(
@@ -114,6 +122,8 @@ def cmd_grover_run(args: argparse.Namespace) -> int:
         trace_every_step=args.trace is not None,
         max_qubits=cap,
     )
+    if args.trace is not None:
+        _require_writable(args.trace, "trace")
     trace = run_grover(config)
     if trace.degenerate:
         print(

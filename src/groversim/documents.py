@@ -23,7 +23,7 @@ import numpy as np
 
 from .grover import SimulationTrace
 from .reversible import Gate, ReversibleCircuit
-from .state import RNG_ALGORITHM, _as_int, _require_index_qubits
+from .state import MAX_INDEX_QUBITS, RNG_ALGORITHM, _as_int
 
 TRACE_FORMAT_VERSION = "1"
 CIRCUIT_FORMAT_VERSION = "1"
@@ -85,10 +85,10 @@ class TraceDocument:
     algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self) -> None:
-        for name in ("n", "seed", "outcome", "oracle_evals"):
-            _as_int(getattr(self, name), name)
-        _require_index_qubits(self.n)
-        size = 1 << self.n
+        size = 1 << _as_int(self.n, "n", 1, MAX_INDEX_QUBITS)
+        _as_int(self.seed, "seed")
+        _as_int(self.outcome, "outcome", 0, size - 1)
+        _as_int(self.oracle_evals, "oracle_evals", 0)
         steps = []
         for i, (label, amps) in enumerate(self.steps):
             amps = np.ascontiguousarray(amps, dtype=np.complex128)
@@ -99,10 +99,6 @@ class TraceDocument:
                 raise ValueError(f"steps[{i}]: snapshot norm differs from 1 by {drift:g}")
             steps.append((str(label), amps))
         self.steps = steps
-        if not 0 <= self.outcome < size:
-            raise ValueError(f"outcome: {self.outcome} out of range for n={self.n}")
-        if self.oracle_evals < 0:
-            raise ValueError(f"oracle_evals: must be >= 0, got {self.oracle_evals}")
 
     @staticmethod
     def from_trace(trace: SimulationTrace) -> "TraceDocument":

@@ -13,11 +13,11 @@ import numpy as np
 
 from .state import (
     DEFAULT_MAX_QUBITS,
+    MAX_INDEX_QUBITS,
     AmplitudeVector,
     ResourceLimitError,
     _as_int,
     _index_set,
-    _require_index_qubits,
     _require_qubits,
     basis_state,
     measure,
@@ -43,7 +43,7 @@ class Oracle:
     _indices: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require_index_qubits(self.n)
+        _as_int(self.n, "n", 1, MAX_INDEX_QUBITS)
         if (self.marked is None) == (self.predicate is None):
             raise ValueError("give exactly one of marked or predicate")
         if self.marked is not None:
@@ -81,6 +81,7 @@ class GroverConfig:
                 raise ValueError(f"iterations must be a count or 'auto', got {self.iterations!r}")
         else:
             _as_int(self.iterations, "iterations", minimum=0)
+        _as_int(self.seed, "seed", 0)
 
 
 @dataclass
@@ -113,8 +114,7 @@ _ROMAN = (
 
 def roman_numeral(value: int) -> str:
     """Lowercase roman numeral used for trace step labels."""
-    if value < 1:
-        raise ValueError(f"roman numerals start at 1, got {value}")
+    _as_int(value, "value", 1)
     parts = []
     for base, digits in _ROMAN:
         while value >= base:
@@ -235,10 +235,8 @@ def optimal_iterations(size: int, marked_count: int = 1) -> int:
     theta = arcsin(sqrt(marked_count / size)), so the best integer t sits
     next to pi / (4 * theta) - 1/2; both neighbors are compared.
     """
-    if size < 2:
-        raise ValueError(f"size must be >= 2, got {size}")
-    if not 1 <= marked_count < size:
-        raise ValueError(f"marked_count must be in [1, {size - 1}], got {marked_count}")
+    _as_int(size, "size", 2)
+    _as_int(marked_count, "marked_count", 1, size - 1)
     theta = math.asin(math.sqrt(marked_count / size))
     center = math.pi / (4.0 * theta) - 0.5
     lo = max(0, math.floor(center))
@@ -282,12 +280,10 @@ def classical_baseline(
     replacement) and succeeds if any of them is marked. The analytic value
     is 1 - (1 - |marked|/size)**iterations.
     """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _as_int(size, "size", 1)
+    _as_int(iterations, "iterations", 0)
+    _as_int(trials, "trials", 1)
+    _as_int(seed, "seed", 0)
     idx = _index_set(size, marked, "marked index")
     analytic = 1.0 - (1.0 - idx.size / size) ** iterations
     if iterations == 0 or not idx.size:

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .state import ResourceLimitError, _index_set, apply_phase_flip, basis_state
+from .state import MAX_INDEX_QUBITS, ResourceLimitError, _as_int, _index_set, _int_list
+from .state import apply_phase_flip, basis_state
 from .transforms import invert_phase_zero, walsh_hadamard_fast, wh_sign
 
 # A mixing step branches 2**n ways; refuse programs whose branch product
@@ -35,7 +36,7 @@ class StepOp:
     def __post_init__(self) -> None:
         if self.kind not in STEP_KINDS:
             raise ValueError(f"unknown step kind {self.kind!r}; expected one of {STEP_KINDS}")
-        object.__setattr__(self, "marked", frozenset(int(r) for r in self.marked))
+        object.__setattr__(self, "marked", frozenset(_int_list(self.marked, "marked index")))
         if self.kind != "flip_marked" and self.marked:
             raise ValueError(f"{self.kind} carries no marked set")
 
@@ -48,7 +49,7 @@ class StepOp:
         """marked is an iterable of indices or an oracle-like object."""
         if hasattr(marked, "marked_indices"):
             marked = marked.marked_indices()
-        return StepOp("flip_marked", frozenset(int(r) for r in marked))
+        return StepOp("flip_marked", marked)
 
     @staticmethod
     def flip_zero() -> "StepOp":
@@ -67,8 +68,7 @@ class Path:
 def grover_steps(marked, iterations: int) -> list[StepOp]:
     """Step list of the full search program: the initializing transform
     plus the four-step block repeated `iterations` times."""
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    _as_int(iterations, "iterations", 0)
     steps = [StepOp.wh()]
     flip = StepOp.flip_marked(marked)
     for _ in range(iterations):
@@ -79,13 +79,10 @@ def grover_steps(marked, iterations: int) -> list[StepOp]:
 def _check_enumeration(
     n: int, steps: Sequence[StepOp], start: int, end: int | None
 ) -> None:
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
-    size = 1 << n
-    if not 0 <= start < size:
-        raise ValueError(f"start index {start} out of range for n={n}")
-    if end is not None and not 0 <= end < size:
-        raise ValueError(f"end index {end} out of range for n={n}")
+    size = 1 << _as_int(n, "n", 1, MAX_INDEX_QUBITS)
+    _as_int(start, "start", 0, size - 1)
+    if end is not None:
+        _as_int(end, "end", 0, size - 1)
     branches = 1
     for i, op in enumerate(steps):
         if op.kind == "flip_marked":

@@ -11,7 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .state import DEFAULT_MAX_QUBITS, ResourceLimitError, _is_permutation
+from .state import DEFAULT_MAX_QUBITS, MAX_INDEX_QUBITS, ResourceLimitError
+from .state import _as_int, _is_permutation
 
 GATE_CONTROL_COUNTS = {"NOT": 0, "CNOT": 1, "TOFFOLI": 2}
 
@@ -29,14 +30,13 @@ class Gate:
             raise ValueError(
                 f"unknown gate kind {self.kind!r}; expected one of {sorted(GATE_CONTROL_COUNTS)}"
             )
-        object.__setattr__(self, "target", int(self.target))
-        object.__setattr__(self, "controls", tuple(int(c) for c in self.controls))
+        _as_int(self.target, "target", 0)
+        controls = tuple(_as_int(c, f"controls[{j}]", 0) for j, c in enumerate(self.controls))
+        object.__setattr__(self, "controls", controls)
         want = GATE_CONTROL_COUNTS[self.kind]
         if len(self.controls) != want:
             raise ValueError(f"{self.kind} takes {want} controls, got {len(self.controls)}")
         wires = (self.target, *self.controls)
-        if any(w < 0 for w in wires):
-            raise ValueError(f"wire indices must be nonnegative, got {wires}")
         if len(set(wires)) != len(wires):
             raise ValueError(f"target and controls must be distinct, got {wires}")
 
@@ -61,8 +61,7 @@ class ReversibleCircuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
-        if self.wires < 1:
-            raise ValueError(f"need at least one wire, got {self.wires}")
+        _as_int(self.wires, "wires", 1)
         object.__setattr__(self, "gates", tuple(self.gates))
         for i, gate in enumerate(self.gates):
             top = max((gate.target, *gate.controls))
@@ -128,11 +127,9 @@ def bits_to_index(bits: Sequence[int]) -> int:
 
 
 def index_to_bits(value: int, width: int) -> list[int]:
-    """Unpack an index into `width` bits, wire 0 first."""
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    if not 0 <= value < 1 << width:
-        raise ValueError(f"value {value} does not fit in {width} bits")
+    """Unpack an index into `width` bits (at most 62), wire 0 first."""
+    size = 1 << _as_int(width, "width", 1, MAX_INDEX_QUBITS)
+    _as_int(value, "value", 0, size - 1)
     return [(value >> i) & 1 for i in range(width)]
 
 

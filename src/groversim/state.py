@@ -4,6 +4,10 @@ Basis indices are little-endian: qubit 0 is bit 0 (the least significant
 bit) of the index. The public functions return new vectors and never mutate
 their input; the private kernels (_negate_at) work in place, on buffers the
 caller owns.
+
+Every count, width, seed and basis index of the library passes one gate,
+_as_int (an int, not a bool, within its bounds; n before any 1 << n). Index
+sets also take numpy integers, and a boolean array as a mask.
 """
 from __future__ import annotations
 
@@ -37,30 +41,21 @@ RandomSource = Union[int, np.random.Generator]
 Selector = Union[Callable[[int], bool], Iterable[int], np.ndarray]
 
 
-def _as_int(value: Any, where: str, minimum: int | None = None) -> int:
+def _as_int(value: Any, where: str, minimum: int | None = None, maximum: int | None = None) -> int:
     """value itself if it is an int and not a bool (which is no count and
-    not a JSON number), at least `minimum` when one is given."""
+    not a JSON number), within the bounds that are given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{where}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{where}: must be >= {minimum}, got {value}")
+    if (minimum is not None and value < minimum) or (maximum is not None and value > maximum):
+        bounds = [f"{op} {b}" for op, b in ((">=", minimum), ("<=", maximum)) if b is not None]
+        raise ValueError(f"{where}: must be {' and '.join(bounds)}, got {value}")
     return value
 
 
 def _require_qubits(n: int, max_qubits: int) -> None:
-    _as_int(n, "n")
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
-    if n > max_qubits:
+    """n >= 1; above the cap, however large, a ResourceLimitError."""
+    if _as_int(n, "n", 1) > max_qubits:
         raise ResourceLimitError(f"n={n} exceeds the {max_qubits}-qubit cap")
-
-
-def _require_index_qubits(n: int) -> None:
-    """n in 1..MAX_INDEX_QUBITS; checked before any 1 << n, which a huge n
-    would turn into a huge integer."""
-    _as_int(n, "n")
-    if not 1 <= n <= MAX_INDEX_QUBITS:
-        raise ValueError(f"n: must be >= 1 and <= {MAX_INDEX_QUBITS}, got {n}")
 
 
 @dataclass
@@ -71,13 +66,10 @@ class AmplitudeVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one qubit, got n={self.n}")
+        size = 1 << _as_int(self.n, "n", 1, MAX_INDEX_QUBITS)
         amps = np.asarray(self.amps, dtype=np.complex128)
-        if amps.shape != (1 << self.n,):
-            raise ValueError(
-                f"amplitude array has shape {amps.shape}, expected ({1 << self.n},)"
-            )
+        if amps.shape != (size,):
+            raise ValueError(f"amplitude array has shape {amps.shape}, expected ({size},)")
         self.amps = amps
 
     @property
@@ -92,8 +84,7 @@ def basis_state(n: int, r: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> Amplitu
     """Unit vector with amplitude 1 on basis index r and 0 elsewhere."""
     _require_qubits(n, max_qubits)
     size = 1 << n
-    if not 0 <= r < size:
-        raise ValueError(f"basis index {r} out of range for n={n}")
+    _as_int(r, "r", 0, size - 1)
     amps = np.zeros(size, dtype=np.complex128)
     amps[r] = 1.0
     return AmplitudeVector(n, amps)
@@ -109,9 +100,7 @@ def uniform_state(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> AmplitudeVect
 
 def probability(state: AmplitudeVector, r: int) -> float:
     """Observation probability of basis index r: |amps[r]|**2."""
-    if not 0 <= r < state.size:
-        raise ValueError(f"basis index {r} out of range for n={state.n}")
-    a = state.amps[r]
+    a = state.amps[_as_int(r, "r", 0, state.size - 1)]
     return float(a.real * a.real + a.imag * a.imag)
 
 
@@ -159,20 +148,33 @@ def measure(state: AmplitudeVector, rng: RandomSource) -> tuple[int, AmplitudeVe
     return outcome, AmplitudeVector(state.n, collapsed)
 
 
+def _int_list(values: Iterable[int] | np.ndarray, where: str) -> list[int]:
+    """The elements of an iterable or a one-dimensional integer array as
+    Python ints; numpy integers are taken, bools and floats refused."""
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise ValueError(f"{where}: expected a one-dimensional array, got shape {values.shape}")
+        if not np.issubdtype(values.dtype, np.integer):
+            raise ValueError(f"{where}: expected integers, got an array of {values.dtype}")
+        return values.tolist()
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    return [int(r) if isinstance(r, np.integer) else _as_int(r, where) for r in values]
+
+
 def _index_set(size: int, selector: Selector, label: str = "selector index") -> np.ndarray:
     """Sorted, de-duplicated int64 indices picked by a predicate over 0..size-1,
-    an iterable of indices or a boolean mask of length size. An index out of
-    range raises ValueError naming the smallest one after `label`."""
+    integers (see _int_list) or a boolean mask of length size. An index out
+    of range raises ValueError naming the smallest one after `label`."""
     if isinstance(selector, np.ndarray) and selector.dtype == bool:
         if selector.shape != (size,):
             raise ValueError(f"boolean selector has shape {selector.shape}, expected ({size},)")
         return np.flatnonzero(selector)
     if callable(selector):
         return np.fromiter((r for r in range(size) if selector(r)), dtype=np.int64)
-    if np.ndim(selector) > 1:
-        raise ValueError("index selector must be one-dimensional")
     # sorted(set) rather than np.unique, whose first call imports numpy.ma (about 1 MB).
-    idx = np.array(sorted({int(r) for r in selector}), dtype=np.int64)
+    idx = np.array(sorted(set(_int_list(selector, label))), dtype=np.int64)
     bad = idx[(idx < 0) | (idx >= size)]
     if bad.size:
         raise ValueError(f"{label} {bad[0]} out of range for {size} basis states")
@@ -213,9 +215,12 @@ def apply_permutation(state: AmplitudeVector, perm) -> AmplitudeVector:
     if callable(perm):
         targets = np.fromiter((perm(r) for r in range(size)), dtype=np.int64, count=size)
     else:
-        targets = np.asarray(perm, dtype=np.int64)
+        targets = np.asarray(perm)
+        if not np.issubdtype(targets.dtype, np.integer):
+            raise ValueError(f"permutation array has dtype {targets.dtype}, expected integers")
         if targets.shape != (size,):
             raise ValueError(f"permutation array has shape {targets.shape}, expected ({size},)")
+        targets = targets.astype(np.int64, copy=False)
     if targets.min() < 0 or targets.max() >= size:
         raise ValueError(f"permutation target out of range for {size} basis states")
     if not _is_permutation(targets):

@@ -18,7 +18,7 @@ import math
 from functools import lru_cache
 import numpy as np
 
-from .state import AmplitudeVector, ResourceLimitError, _negate_at
+from .state import MAX_INDEX_QUBITS, AmplitudeVector, ResourceLimitError, _as_int, _negate_at
 
 # The naive transform materializes the full N x N matrix; past n=12 that is
 # more than a gigabyte of float64, so it refuses rather than thrash.
@@ -34,12 +34,8 @@ def wh_sign(q: int, r: int) -> int:
 
 def wh_matrix_entry(n: int, q: int, r: int) -> float:
     """Transform matrix entry: wh_sign(q, r) / sqrt(2**n)."""
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
-    size = 1 << n
-    if not (0 <= q < size and 0 <= r < size):
-        raise ValueError(f"indices (q={q}, r={r}) out of range for n={n}")
-    return wh_sign(q, r) / math.sqrt(size)
+    size = 1 << _as_int(n, "n", 1, MAX_INDEX_QUBITS)
+    return wh_sign(_as_int(q, "q", 0, size - 1), _as_int(r, "r", 0, size - 1)) / math.sqrt(size)
 
 
 @lru_cache(maxsize=3)

@@ -334,6 +334,27 @@ def test_run_trace_write_error_exits_2(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_run_trace_write_error_exits_2_before_running(tmp_path, monkeypatch, capsys):
+    import groversim.cli
+
+    calls = []
+    monkeypatch.setattr(groversim.cli, "run_grover", lambda config: calls.append(config))
+    path = str(tmp_path / "missing" / "t.json")
+    assert main(["grover", "run", "--qubits", "12", "--marked", "5", "--trace", path]) == 2
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write trace document {path!r}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_run_trace_to_a_bare_file_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["grover", "run", "--qubits", "2", "--marked", "2", "--trace", "t.json"]) == 0
+    assert capsys.readouterr().out == RUN_GOLDEN
+    assert len(parse_trace_document((tmp_path / "t.json").read_text(encoding="utf-8")).steps) == 5
+
+
 def test_circuit_invert_write_error_exits_2(tmp_path, capsys):
     path = str(tmp_path / "missing" / "inverse.json")
     assert main(["circuit", "invert", write_adder(tmp_path), "--output", path]) == 2

@@ -137,9 +137,9 @@ def test_path_amplitude_full_program_reaches_certainty():
 
 
 def test_path_amplitude_validation():
-    with pytest.raises(ValueError, match="start index"):
+    with pytest.raises(ValueError, match="start: must be >= 0 and <= 3, got 4"):
         path_amplitude(2, [], 4, 0)
-    with pytest.raises(ValueError, match="end index"):
+    with pytest.raises(ValueError, match="end: must be >= 0 and <= 3, got 4"):
         path_amplitude(2, [], 0, 4)
     with pytest.raises(ValueError, match="marked index"):
         path_amplitude(2, [StepOp.flip_marked({9})], 0, 0)

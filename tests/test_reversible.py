@@ -41,7 +41,7 @@ def test_gate_validation():
         Gate("CNOT", 1, (1,))
     with pytest.raises(ValueError, match="distinct"):
         Gate("TOFFOLI", 2, (0, 0))
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="target: must be >= 0, got -1"):
         Gate("NOT", -1)
 
 
@@ -52,7 +52,7 @@ def test_gate_factories():
 
 
 def test_circuit_validation():
-    with pytest.raises(ValueError, match="at least one wire"):
+    with pytest.raises(ValueError, match="wires: must be >= 1, got 0"):
         ReversibleCircuit(0, ())
     with pytest.raises(ValueError, match="gates\\[0\\]"):
         ReversibleCircuit(2, (Gate.toffoli(0, 1, 2),))

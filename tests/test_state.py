@@ -34,9 +34,9 @@ def test_basis_state_norm_is_exactly_one():
 
 
 def test_basis_state_rejects_out_of_range_index():
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="r: must be >= 0 and <= 3, got 4"):
         basis_state(2, 4)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="r: must be >= 0 and <= 3, got -1"):
         basis_state(2, -1)
 
 
@@ -64,7 +64,7 @@ def test_uniform_state_norm_within_tolerance():
 def test_probability_uniform():
     v = uniform_state(2)
     assert probability(v, 0) == 0.25
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="r: must be >= 0 and <= 3, got 4"):
         probability(v, 4)
 
 

@@ -72,7 +72,7 @@ def test_wh_matrix_entry_magnitude():
 
 
 def test_wh_matrix_entry_rejects_bad_indices():
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="q: must be >= 0 and <= 3, got 4"):
         wh_matrix_entry(2, 4, 0)
     with pytest.raises(ValueError):
         wh_matrix_entry(0, 0, 0)
