@@ -6,9 +6,10 @@ check JSON types and name the offending field, and the renderers only
 format. Floats take 17 significant digits, so a write-read cycle keeps
 every double, and the layout is fixed, so equal documents are byte-identical.
 A trace snapshot formats each distinct amplitude once, by bit pattern. The
-parser packs each snapshot into a complex128 vector as soon as JSON closes
-its step, after one bulk type check of its [re, im] pairs, so it never holds
-the list tree of more than one snapshot; neither changes a byte of what is
+parser's object hook decides each amplitude list once, as soon as JSON
+closes its step: after one bulk type check of its [re, im] pairs it becomes
+a complex128 vector or the text of its fault, so the parser never holds the
+list tree of more than one snapshot; neither changes a byte of what is
 written or read.
 """
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Callable, ClassVar, NoReturn
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
@@ -151,54 +152,38 @@ def _check_version(raw: dict, expected: str, where: str) -> None:
         raise ValueError(f"{where}: format_version: expected {expected!r}, got {version!r}")
 
 
-def _flat_pairs(pairs: list) -> list | None:
-    """The numbers of a list of [re, im] pairs, in order, checked in bulk;
-    None when some entry is not such a pair. Exact types: bool is a
-    subclass of int but not a JSON number."""
-    if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}:
-        flat = list(chain.from_iterable(pairs))
+def _pack_amplitudes(value: Any) -> np.ndarray | str:
+    """An "amplitudes" value as its complex128 vector, or the text of its
+    fault. Valid lists pass one bulk check of exact types (bool is a
+    subclass of int but not a JSON number); the per-pair walk runs only on
+    a list that fails it, to name the first bad pair."""
+    if type(value) is not list:
+        return "amplitudes: expected a list"
+    if set(map(type, value)) <= {list} and set(map(len, value)) <= {2}:
+        flat = list(chain.from_iterable(value))
         if set(map(type, flat)) <= {int, float}:
-            return flat
-    return None
-
-
-def _pack_amplitudes(obj: dict) -> dict:
-    """JSON object hook: replaces an "amplitudes" list that passes the bulk
-    check by its complex128 vector as soon as the scanner closes the object,
-    so that list tree is freed before the next step is read.
-
-    It never raises. A list that fails the check, or holds an integer too
-    large for a double, stays in place for the step loop to report."""
-    pairs = obj.get("amplitudes")
-    if type(pairs) is list:
-        flat = _flat_pairs(pairs)
-        if flat is not None:
             try:
-                obj["amplitudes"] = np.array(flat, dtype=np.float64).view(np.complex128)
+                return np.array(flat, dtype=np.float64).view(np.complex128)
             except OverflowError:
-                pass
+                return "amplitudes: an integer is too large for a double"
+    j = next(j for j, pair in enumerate(value)
+             if not (type(pair) is list and len(pair) == 2
+                     and type(pair[0]) in (int, float) and type(pair[1]) in (int, float)))
+    return f"amplitudes[{j}]: expected an [re, im] pair of numbers"
+
+
+def _pack_steps(obj: dict) -> dict:
+    """JSON object hook: decides an "amplitudes" value as soon as the
+    scanner closes its object, so that list tree is freed before the next
+    step is read."""
+    if "amplitudes" in obj:
+        obj["amplitudes"] = _pack_amplitudes(obj["amplitudes"])
     return obj
-
-
-def _reject_amplitudes(value: Any, spot: str) -> NoReturn:
-    """Names the fault of an "amplitudes" value the object hook left as is.
-    The hook packs every list that passes the bulk check unless a number in
-    it is too large for a double; the per-pair loop names the first pair
-    that fails the check."""
-    if not isinstance(value, list):
-        raise ValueError(f"{spot}.amplitudes: expected a list")
-    if _flat_pairs(value) is not None:
-        raise ValueError(f"{spot}.amplitudes: an integer is too large for a double")
-    for j, pair in enumerate(value):
-        if not (type(pair) is list and len(pair) == 2
-                and type(pair[0]) in (int, float) and type(pair[1]) in (int, float)):
-            raise ValueError(f"{spot}.amplitudes[{j}]: expected an [re, im] pair of numbers")
-    raise AssertionError("the bulk check and the per-pair loop disagree")
 
 
 def parse_trace_document(text: str) -> TraceDocument:
     where = "trace document"
-    raw = _load_json(text, where, _pack_amplitudes)
+    raw = _load_json(text, where, _pack_steps)
     if not isinstance(raw, dict):
         raise ValueError(f"{where}: top level must be an object")
     _check_version(raw, TRACE_FORMAT_VERSION, where)
@@ -221,10 +206,9 @@ def parse_trace_document(text: str) -> TraceDocument:
         label = entry.get("label")
         if not isinstance(label, str):
             raise ValueError(f"{spot}.label: expected a string, got {label!r}")
-        amps = entry.get("amplitudes")
-        # JSON yields no arrays: an array here is one the object hook packed.
-        if not isinstance(amps, np.ndarray):
-            _reject_amplitudes(amps, spot)
+        amps = entry.get("amplitudes", "amplitudes: expected a list")
+        if isinstance(amps, str):
+            raise ValueError(f"{spot}.{amps}")
         steps.append((label, amps))
     outcome = _as_int(raw.get("outcome"), f"{where}: outcome")
     evals = _as_int(raw.get("oracle_evals"), f"{where}: oracle_evals")

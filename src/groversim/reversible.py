@@ -72,10 +72,7 @@ class ReversibleCircuit:
 
 
 def _as_bits(bits: Sequence[int]) -> list[int]:
-    out = [int(b) for b in bits]
-    if any(b not in (0, 1) for b in out):
-        raise ValueError(f"bits must be 0 or 1, got {list(bits)}")
-    return out
+    return [_as_int(b, f"bits[{i}]", 0, 1) for i, b in enumerate(bits)]
 
 
 def apply_gate(bits: Sequence[int], gate: Gate) -> list[int]:
@@ -163,11 +160,8 @@ def circuit_to_permutation(
     """
     if circuit.wires > max_wires:
         raise ResourceLimitError(f"circuit has {circuit.wires} wires; cap is {max_wires}")
-    size = 1 << circuit.wires
-    values = np.arange(size, dtype=np.int64)
+    values = np.arange(1 << circuit.wires, dtype=np.int64)
     for gate in circuit.gates:
-        condition = np.ones(size, dtype=bool)
-        for c in gate.controls:
-            condition &= ((values >> c) & 1).astype(bool)
-        values = np.where(condition, values ^ (1 << gate.target), values)
+        mask = sum(1 << c for c in gate.controls)
+        values ^= ((values & mask) == mask) * (1 << gate.target)
     return values

@@ -208,19 +208,17 @@ def apply_phase_flip(state: AmplitudeVector, selector: Selector) -> AmplitudeVec
 def apply_permutation(state: AmplitudeVector, perm) -> AmplitudeVector:
     """Relabel basis states: out[p(r)] = in[r].
 
-    p is a callable over indices or an integer array of length 2**n; it
-    must be a bijection (duplicate targets are rejected).
+    p is a callable over indices or an integer array of length 2**n; a
+    callable's targets pass the same checks as an array. It must be a
+    bijection (duplicate targets are rejected).
     """
     size = state.size
-    if callable(perm):
-        targets = np.fromiter((perm(r) for r in range(size)), dtype=np.int64, count=size)
-    else:
-        targets = np.asarray(perm)
-        if not np.issubdtype(targets.dtype, np.integer):
-            raise ValueError(f"permutation array has dtype {targets.dtype}, expected integers")
-        if targets.shape != (size,):
-            raise ValueError(f"permutation array has shape {targets.shape}, expected ({size},)")
-        targets = targets.astype(np.int64, copy=False)
+    targets = np.asarray([perm(r) for r in range(size)] if callable(perm) else perm)
+    if not np.issubdtype(targets.dtype, np.integer):
+        raise ValueError(f"permutation array has dtype {targets.dtype}, expected integers")
+    if targets.shape != (size,):
+        raise ValueError(f"permutation array has shape {targets.shape}, expected ({size},)")
+    targets = targets.astype(np.int64, copy=False)
     if targets.min() < 0 or targets.max() >= size:
         raise ValueError(f"permutation target out of range for {size} basis states")
     if not _is_permutation(targets):

@@ -4,9 +4,11 @@ The transform's matrix entry at (q, r) is +-1/sqrt(N) where the sign is
 positive exactly when q AND r has an even number of 1 bits. Two
 implementations are kept deliberately independent: a naive O(4**n)
 matrix-vector product used as a reference, and the O(n * 2**n) butterfly
-used everywhere else. The butterfly is a ping-pong between two buffers of
-2**n amplitudes; the search engine owns such a pair for a whole run and
-hands it in, and other callers get the transform of a copy.
+used everywhere else. The naive transform builds its N x N matrix on each
+call, about 9 bytes per entry at peak, and keeps nothing between calls. The
+butterfly is a ping-pong between two buffers of 2**n amplitudes; the search
+engine owns such a pair for a whole run and hands it in, and other callers
+get the transform of a copy.
 
 Both phase inversions negate at basis indices (the oracle's cached marked
 indices, or index 0) through one kernel in state.py, with no 2**n mask;
@@ -15,13 +17,13 @@ they negate a copy unless told to work in place, as the engine does.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+
 import numpy as np
 
 from .state import MAX_INDEX_QUBITS, AmplitudeVector, ResourceLimitError, _as_int, _negate_at
 
 # The naive transform materializes the full N x N matrix; past n=12 that is
-# more than a gigabyte of float64, so it refuses rather than thrash.
+# at least 512 MiB of float64, so it refuses rather than thrash.
 MAX_NAIVE_QUBITS = 12
 
 
@@ -38,17 +40,12 @@ def wh_matrix_entry(n: int, q: int, r: int) -> float:
     return wh_sign(_as_int(q, "q", 0, size - 1), _as_int(r, "r", 0, size - 1)) / math.sqrt(size)
 
 
-@lru_cache(maxsize=3)
-def _scaled_matrix(n: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.uint32)
-    odd = (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.float64)
-    return (1.0 - 2.0 * odd) / math.sqrt(1 << n)
-
-
 def walsh_hadamard_naive(state: AmplitudeVector) -> AmplitudeVector:
     """Reference transform: full matrix-vector product.
 
-    out[q] = sum over r of entry(q, r) * in[r]. Quadratic memory, so only
+    out[q] = sum over r of entry(q, r) * in[r]. The matrix is built on
+    each call, at about 9 bytes per entry at peak (its float64 entries and
+    a byte of parity each), and nothing is kept. Quadratic memory, so only
     small n; the butterfly version is the production path.
     """
     if state.n > MAX_NAIVE_QUBITS:
@@ -56,7 +53,10 @@ def walsh_hadamard_naive(state: AmplitudeVector) -> AmplitudeVector:
             f"naive transform at n={state.n} needs a {1 << state.n}x{1 << state.n} matrix; "
             f"use walsh_hadamard_fast above n={MAX_NAIVE_QUBITS}"
         )
-    matrix = _scaled_matrix(state.n)
+    idx = np.arange(state.size, dtype=np.uint32)
+    odd = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
+    scale = 1.0 / math.sqrt(state.size)
+    matrix = np.where(odd, -scale, scale)
     out = matrix @ state.amps.real + 1j * (matrix @ state.amps.imag)
     return AmplitudeVector(state.n, out)
 

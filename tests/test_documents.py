@@ -423,12 +423,25 @@ def test_parse_trace_takes_the_last_duplicate_amplitudes_key():
     )
 
 
+MISSING = object()
+
+
 @pytest.mark.parametrize(
-    "value", [{"re": 0.5}, {"amplitudes": [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]]}, "[[1, 0]]"]
+    "value",
+    [
+        {"re": 0.5},
+        {"amplitudes": [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]]},
+        "[[1, 0]]",
+        None,
+        MISSING,
+    ],
 )
 def test_parse_trace_rejects_amplitudes_that_are_not_a_list(value):
     raw = json.loads(render_trace_document(four_state_trace_doc()))
-    raw["steps"][1]["amplitudes"] = value
+    if value is MISSING:
+        del raw["steps"][1]["amplitudes"]
+    else:
+        raw["steps"][1]["amplitudes"] = value
     with pytest.raises(ValueError) as info:
         parse_trace_document(json.dumps(raw))
     assert str(info.value) == "trace document: steps[1].amplitudes: expected a list"

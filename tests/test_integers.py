@@ -15,9 +15,12 @@ from groversim import (
     ReversibleCircuit,
     StepOp,
     TraceDocument,
+    adder_circuit,
+    apply_gate,
     apply_permutation,
     apply_phase_flip,
     basis_state,
+    bits_to_index,
     classical_baseline,
     enumerate_paths,
     grover_steps,
@@ -26,6 +29,7 @@ from groversim import (
     path_amplitude,
     probability,
     roman_numeral,
+    run_circuit,
     run_grover,
     scan_probabilities,
     uniform_state,
@@ -139,6 +143,29 @@ def test_truncating_and_bool_arguments_are_refused():
     # A bool next to an equal int is not lost to de-duplication.
     with pytest.raises(ValueError, match="^selector index: expected an integer, got True$"):
         apply_phase_flip(uniform_state(2), [1, True])
+
+
+def test_bits_must_be_the_ints_0_and_1():
+    # Each of these used to succeed: 0.9 -> 0, 1.7 -> 1, True -> 1.
+    with pytest.raises(ValueError, match=r"^bits\[0\]: expected an integer, got 0.9$"):
+        run_circuit(adder_circuit(), [0.9, True, 0])  # [0, 1, 0]
+    with pytest.raises(ValueError, match=r"^bits\[0\]: expected an integer, got 1.7$"):
+        bits_to_index([1.7, 0, True])  # 5
+    with pytest.raises(ValueError, match=r"^bits\[0\]: expected an integer, got True$"):
+        apply_gate([True, 0], Gate.not_(0))
+    with pytest.raises(ValueError, match=r"^bits\[2\]: expected an integer, got True$"):
+        bits_to_index([1, 0, True])
+
+
+def test_a_callable_permutation_passes_the_array_checks():
+    # Each of these used to be taken as the swap [1, 0].
+    with pytest.raises(ValueError, match="^permutation array has dtype float64, expected integers$"):
+        apply_permutation(uniform_state(1), lambda r: 1.9 - r)
+    with pytest.raises(ValueError, match="^permutation array has dtype bool, expected integers$"):
+        apply_permutation(uniform_state(1), lambda r: r == 0)
+    v = uniform_state(2)
+    out = apply_permutation(v, lambda r: np.int32(r ^ 1))
+    assert np.array_equal(out.amps, v.amps)
 
 
 def test_index_sets_take_numpy_integers_and_masks():

@@ -87,7 +87,7 @@ def test_apply_gate_does_not_mutate_input():
 def test_apply_gate_validation():
     with pytest.raises(ValueError, match="wire 2"):
         apply_gate([0, 1], Gate.not_(2))
-    with pytest.raises(ValueError, match="must be 0 or 1"):
+    with pytest.raises(ValueError, match=r"bits\[1\]: must be >= 0 and <= 1, got 2"):
         apply_gate([0, 2], Gate.not_(0))
 
 
@@ -169,6 +169,7 @@ def test_bits_index_round_trip():
 
 def test_circuit_to_permutation_adder():
     perm = circuit_to_permutation(adder_circuit())
+    assert perm.dtype == np.int64
     assert perm.tolist() == ADDER_PERMUTATION
 
 

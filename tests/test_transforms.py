@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,27 @@ def test_naive_transform_matches_explicit_matrix():
         v = random_unit_vector(rng, n)
         got = walsh_hadamard_naive(v)
         assert np.allclose(got.amps, matrix @ v.amps, rtol=0.0, atol=1e-14)
+    # On a basis state the product picks one column, entry for entry.
+    for n in range(1, 6):
+        size = 1 << n
+        matrix = np.array(
+            [[wh_matrix_entry(n, q, r) for r in range(size)] for q in range(size)]
+        )
+        for r in range(size):
+            assert (walsh_hadamard_naive(basis_state(n, r)).amps == matrix[:, r]).all()
+
+
+def test_naive_transform_retains_nothing():
+    # Each call builds its matrix (128 MiB at n=12) and drops it on return.
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        for n in (10, 11, 12):
+            walsh_hadamard_naive(basis_state(n, 1))
+        end, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert end - start < 1 << 20
 
 
 def test_naive_transform_refuses_large_registers():
