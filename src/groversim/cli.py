@@ -11,14 +11,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .documents import (
     TraceDocument,
     parse_circuit_document,
     render_circuit_document,
-    render_trace_document,
+    write_trace_document,
 )
 from .grover import (
     GroverConfig,
@@ -34,7 +35,8 @@ from .reversible import (
     inverse_circuit,
     run_circuit,
 )
-# Unused here, but bench/spans.py patches both under these names.
+# Unused here, but bench/spans.py patches these under these names.
+from .documents import render_trace_document  # noqa: F401
 from .reversible import check_bijection, index_to_bits  # noqa: F401
 from .state import DEFAULT_MAX_QUBITS, ResourceLimitError, _is_permutation, _require_qubits
 
@@ -94,19 +96,23 @@ def _load_circuit(path: str) -> ReversibleCircuit:
     return parse_circuit_document(text)
 
 
-def _write_document(path: str, text: str, kind: str) -> None:
+@contextmanager
+def _output_file(path: str, kind: str) -> Iterator[TextIO]:
+    """A new file beside path that replaces path when the block ends. If
+    anything fails first, the file is removed and path is left as it was;
+    an OSError becomes a ValueError naming the document."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    made = False
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(tmp, "x", encoding="utf-8") as out:
+            made = True
+            yield out
+        os.replace(tmp, path)
     except OSError as exc:
-        raise ValueError(f"cannot write {kind} document {path!r}: {exc}") from None
-
-
-def _require_writable(path: str, kind: str) -> None:
-    """Fails as _write_document would if the directory of path is missing
-    or not writable, but before any work is done."""
-    folder = os.path.dirname(path) or os.curdir
-    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
-        raise ValueError(f"cannot write {kind} document {path!r}: no writable directory {folder!r}")
+        raise ValueError(f"cannot write {kind} document {path!r}: {exc.strerror or exc}") from None
+    finally:
+        if made and os.path.lexists(tmp):
+            os.remove(tmp)
 
 
 def cmd_grover_run(args: argparse.Namespace) -> int:
@@ -122,28 +128,28 @@ def cmd_grover_run(args: argparse.Namespace) -> int:
         trace_every_step=args.trace is not None,
         max_qubits=cap,
     )
-    if args.trace is not None:
-        _require_writable(args.trace, "trace")
-    trace = run_grover(config)
-    if trace.degenerate:
-        print(
-            "note: at least half the space is marked; the auto iteration count is degenerate",
-            file=sys.stderr,
-        )
-    prob = success_probability(trace.final_state, oracle)
-    if args.format == "json":
-        print(
-            f'{{"iterations":{trace.iterations},"outcome":{trace.outcome},'
-            f'"success_probability":{prob!r},"oracle_evals":{trace.oracle_evals}}}'
-        )
-    else:
-        print(f"iterations: {trace.iterations}")
-        print(f"outcome: {trace.outcome}")
-        print(f"success_probability: {prob!r}")
-        print(f"oracle_evals: {trace.oracle_evals}")
-    if args.trace is not None:
-        doc = TraceDocument.from_trace(trace)
-        _write_document(args.trace, render_trace_document(doc), "trace")
+    # The trace file is opened before the run, so an unwritable path costs
+    # no work, and it takes PATH's name only once the whole document is in.
+    with _output_file(args.trace, "trace") if args.trace is not None else nullcontext() as out:
+        trace = run_grover(config)
+        if trace.degenerate:
+            print(
+                "note: at least half the space is marked; the auto iteration count is degenerate",
+                file=sys.stderr,
+            )
+        prob = success_probability(trace.final_state, oracle)
+        if args.format == "json":
+            print(
+                f'{{"iterations":{trace.iterations},"outcome":{trace.outcome},'
+                f'"success_probability":{prob!r},"oracle_evals":{trace.oracle_evals}}}'
+            )
+        else:
+            print(f"iterations: {trace.iterations}")
+            print(f"outcome: {trace.outcome}")
+            print(f"success_probability: {prob!r}")
+            print(f"oracle_evals: {trace.oracle_evals}")
+        if out is not None:
+            write_trace_document(TraceDocument.from_trace(trace), out)
     return 0
 
 
@@ -160,11 +166,9 @@ def cmd_grover_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_classical(args: argparse.Namespace) -> int:
-    cap = _qubit_cap()
-    # classical_baseline allocates a size-entry lookup table before drawing.
-    if args.size > 1 << cap:
-        raise ResourceLimitError(f"--size {args.size} exceeds 2**{cap}, the {cap}-qubit cap")
-    result = classical_baseline(args.size, args.marked, args.iterations, args.trials, args.seed)
+    result = classical_baseline(
+        args.size, args.marked, args.iterations, args.trials, args.seed, _qubit_cap()
+    )
     print(f"empirical: {result.empirical!r}")
     print(f"analytic: {result.analytic!r}")
     return 0
@@ -190,7 +194,8 @@ def cmd_circuit_invert(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.path)
     text = render_circuit_document(inverse_circuit(circuit))
     if args.output is not None:
-        _write_document(args.output, text, "circuit")
+        with _output_file(args.output, "circuit") as out:
+            out.write(text)
     else:
         sys.stdout.write(text)
     return 0

@@ -5,20 +5,22 @@ Gate and ReversibleCircuit) check every rule of a document, the parsers
 check JSON types and name the offending field, and the renderers only
 format. Floats take 17 significant digits, so a write-read cycle keeps
 every double, and the layout is fixed, so equal documents are byte-identical.
-A trace snapshot formats each distinct amplitude once, by bit pattern. The
-parser's object hook decides each amplitude list once, as soon as JSON
-closes its step: after one bulk type check of its [re, im] pairs it becomes
-a complex128 vector or the text of its fault, so the parser never holds the
-list tree of more than one snapshot; neither changes a byte of what is
-written or read.
+A trace is written to a text file one snapshot at a time, and rendering
+is that writer into a string; a snapshot formats each distinct amplitude
+once, by bit pattern. The parser's object hook decides each amplitude list
+once, as soon as JSON closes its step: after one bulk type check of its
+[re, im] pairs it becomes a complex128 vector or the text of its fault, so
+the parser never holds the list tree of more than one snapshot; neither
+changes a byte of what is written or read.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Callable, ClassVar
+from typing import Any, Callable, ClassVar, TextIO
 
 import numpy as np
 
@@ -112,26 +114,27 @@ class TraceDocument:
         )
 
 
+def write_trace_document(doc: TraceDocument, fp: TextIO) -> None:
+    """Writes the document's text to fp one snapshot at a time, so at most
+    one snapshot's text is held."""
+    fp.write("{\n")
+    fp.write(f'  "format_version": {json.dumps(doc.format_version)},\n')
+    fp.write(f'  "n": {doc.n},\n')
+    fp.write(f'  "rng": {{"algorithm": {json.dumps(doc.algorithm)}, "seed": {doc.seed}}},\n')
+    fp.write('  "steps": [')
+    for i, (label, amps) in enumerate(doc.steps):
+        sep = ",\n" if i else "\n"
+        fp.write(f'{sep}    {{"label": {json.dumps(label)}, "amplitudes": [{_format_pairs(amps)}]}}')
+    fp.write("\n  ],\n" if doc.steps else "],\n")
+    fp.write(f'  "outcome": {doc.outcome},\n')
+    fp.write(f'  "oracle_evals": {doc.oracle_evals}\n')
+    fp.write("}\n")
+
+
 def render_trace_document(doc: TraceDocument) -> str:
-    lines = [
-        "{",
-        f'  "format_version": {json.dumps(doc.format_version)},',
-        f'  "n": {doc.n},',
-        f'  "rng": {{"algorithm": {json.dumps(doc.algorithm)}, "seed": {doc.seed}}},',
-    ]
-    if doc.steps:
-        lines.append('  "steps": [')
-        for i, (label, amps) in enumerate(doc.steps):
-            pairs = _format_pairs(amps)
-            comma = "," if i + 1 < len(doc.steps) else ""
-            lines.append(f'    {{"label": {json.dumps(label)}, "amplitudes": [{pairs}]}}{comma}')
-        lines.append("  ],")
-    else:
-        lines.append('  "steps": [],')
-    lines.append(f'  "outcome": {doc.outcome},')
-    lines.append(f'  "oracle_evals": {doc.oracle_evals}')
-    lines.append("}\n")
-    return "\n".join(lines)
+    out = io.StringIO()
+    write_trace_document(doc, out)
+    return out.getvalue()
 
 
 def _load_json(text: str, where: str, object_hook: Callable[[dict], Any] | None = None) -> Any:

@@ -273,17 +273,22 @@ def classical_baseline(
     iterations: int,
     trials: int,
     seed: int = 0,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> ClassicalResult:
     """Success rate of classical random guessing against the same oracle.
 
     One trial draws `iterations` indices uniformly at random (with
     replacement) and succeeds if any of them is marked. The analytic value
-    is 1 - (1 - |marked|/size)**iterations.
+    is 1 - (1 - |marked|/size)**iterations. A size-entry lookup table finds
+    the hits, so a size above 2**max_qubits raises ResourceLimitError
+    before anything is allocated.
     """
     _as_int(size, "size", 1)
     _as_int(iterations, "iterations", 0)
     _as_int(trials, "trials", 1)
     _as_int(seed, "seed", 0)
+    if size > 1 << max_qubits:
+        raise ResourceLimitError(f"size {size} exceeds 2**{max_qubits}, the {max_qubits}-qubit cap")
     idx = _index_set(size, marked, "marked index")
     analytic = 1.0 - (1.0 - idx.size / size) ** iterations
     if iterations == 0 or not idx.size:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .state import MAX_INDEX_QUBITS, ResourceLimitError, _as_int, _index_set, _int_list
 from .state import apply_phase_flip, basis_state
-from .transforms import invert_phase_zero, walsh_hadamard_fast, wh_sign
+from .transforms import _wh_sign, invert_phase_zero, walsh_hadamard_fast
 
 # A mixing step branches 2**n ways; refuse programs whose branch product
 # exceeds this.
@@ -127,7 +127,7 @@ def _walk(
                 chain.append(state)
         if i < last:
             stack.extend(
-                [(i + 1, nxt, amp * wh_sign(nxt, state) * inv_root)
+                [(i + 1, nxt, amp * _wh_sign(nxt, state) * inv_root)
                  for nxt in range(size - 1, -1, -1)]
             )
         elif i > last:
@@ -136,12 +136,12 @@ def _walk(
         elif end is not None:
             if chain is not None:
                 chain.append(end)
-            yield amp * wh_sign(end, state) * inv_root
+            yield amp * _wh_sign(end, state) * inv_root
         else:
             for nxt in range(size):
                 if chain is not None:
                     chain[i + 1:] = [nxt]
-                yield amp * wh_sign(nxt, state) * inv_root
+                yield amp * _wh_sign(nxt, state) * inv_root
 
 
 def path_amplitude(n: int, steps: Sequence[StepOp], start: int, end: int) -> float:

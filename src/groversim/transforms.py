@@ -27,17 +27,20 @@ from .state import MAX_INDEX_QUBITS, AmplitudeVector, ResourceLimitError, _as_in
 MAX_NAIVE_QUBITS = 12
 
 
+def _wh_sign(q: int, r: int) -> int:
+    """wh_sign without the argument checks, for callers that made them."""
+    return -1 if (q & r).bit_count() & 1 else 1
+
+
 def wh_sign(q: int, r: int) -> int:
     """+1 if q AND r has even popcount, -1 if odd."""
-    if q < 0 or r < 0:
-        raise ValueError(f"basis indices must be nonnegative, got q={q}, r={r}")
-    return -1 if (q & r).bit_count() & 1 else 1
+    return _wh_sign(_as_int(q, "q", 0), _as_int(r, "r", 0))
 
 
 def wh_matrix_entry(n: int, q: int, r: int) -> float:
     """Transform matrix entry: wh_sign(q, r) / sqrt(2**n)."""
     size = 1 << _as_int(n, "n", 1, MAX_INDEX_QUBITS)
-    return wh_sign(_as_int(q, "q", 0, size - 1), _as_int(r, "r", 0, size - 1)) / math.sqrt(size)
+    return _wh_sign(_as_int(q, "q", 0, size - 1), _as_int(r, "r", 0, size - 1)) / math.sqrt(size)
 
 
 def walsh_hadamard_naive(state: AmplitudeVector) -> AmplitudeVector:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import stat
 import tracemalloc
 
 import numpy as np
@@ -101,6 +102,61 @@ def test_run_trace_file_golden(qubits, marked, seed, tmp_path, capsys):
     assert (len(data), hashlib.sha256(data).hexdigest()) == TRACE_GOLDENS[qubits, marked, seed]
 
 
+def test_run_trace_peaks_below_its_snapshots_plus_half_a_mebibyte(tmp_path, capsys):
+    # The document is written one snapshot at a time, so besides the run's
+    # (4t + 1) snapshots of 2**n amplitudes little more is held.
+    path = tmp_path / "trace.json"
+    tracemalloc.start()
+    try:
+        assert main(["grover", "run", "--qubits", "10", "--marked", "3", "--trace", str(path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.startswith("iterations: 25\n")
+    assert peak < (4 * 25 + 1) * 16 * 2**10 + (512 << 10)
+
+
+def test_run_trace_file_mode_is_that_of_a_new_file(tmp_path, capsys):
+    path = tmp_path / "trace.json"
+    path.write_bytes(b"earlier trace")
+    path.chmod(0o600)
+    assert main(["grover", "run", "--qubits", "2", "--marked", "2", "--trace", str(path)]) == 0
+    capsys.readouterr()
+    plain = tmp_path / "plain"
+    with open(plain, "w"):
+        pass
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert len(parse_trace_document(path.read_text(encoding="utf-8")).steps) == 5
+
+
+def test_run_trace_to_a_directory_exits_2_and_leaves_no_temporary_file(tmp_path, capsys):
+    folder = tmp_path / "trace.json"
+    folder.mkdir()
+    assert main(["grover", "run", "--qubits", "2", "--marked", "2", "--trace", str(folder)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == RUN_GOLDEN
+    assert captured.err.startswith(f"error: cannot write trace document {str(folder)!r}: ")
+    assert list(tmp_path.iterdir()) == [folder]
+    assert list(folder.iterdir()) == []
+
+
+def test_interrupted_trace_write_keeps_the_earlier_file(tmp_path, monkeypatch, capsys):
+    import groversim.cli
+
+    def interrupt(doc, fp):
+        fp.write("{\n")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(groversim.cli, "write_trace_document", interrupt)
+    path = tmp_path / "trace.json"
+    path.write_bytes(b"earlier trace")
+    with pytest.raises(KeyboardInterrupt):
+        main(["grover", "run", "--qubits", "2", "--marked", "2", "--trace", str(path)])
+    capsys.readouterr()
+    assert path.read_bytes() == b"earlier trace"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_run_degenerate_marking_warns(capsys):
     assert main(["grover", "run", "--qubits", "2", "--marked", "0,1"]) == 0
     captured = capsys.readouterr()
@@ -158,6 +214,13 @@ def test_trace_volume_cap_exits_3(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     assert "101 snapshots" in captured.err
     assert not trace_path.exists()
+    assert list(tmp_path.iterdir()) == []
+    # A file already at the path keeps its bytes, and nothing is left beside it.
+    trace_path.write_bytes(b"earlier trace")
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+    assert trace_path.read_bytes() == b"earlier trace"
+    assert list(tmp_path.iterdir()) == [trace_path]
     assert main(argv[:-2]) == 0
     capsys.readouterr()
 
@@ -362,6 +425,7 @@ def test_circuit_invert_write_error_exits_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write circuit document {path!r}: ")
     assert captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adder.json"]
 
 
 def test_circuit_missing_file_exits_2(tmp_path, capsys):

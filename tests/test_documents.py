@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import tracemalloc
@@ -22,6 +23,7 @@ from groversim import (
     render_circuit_document,
     render_trace_document,
     run_grover,
+    write_trace_document,
 )
 from groversim.cli import main
 from groversim.documents import _format_floats
@@ -209,6 +211,9 @@ def test_every_constructible_trace_document_round_trips(fields):
         return
     assert not bad
     text = render_trace_document(doc)
+    written = io.StringIO()
+    write_trace_document(doc, written)
+    assert written.getvalue() == text
     parsed = parse_trace_document(text)
     assert render_trace_document(parsed) == text
     assert (parsed.n, parsed.seed, parsed.outcome, parsed.oracle_evals, parsed.algorithm) == (

@@ -316,6 +316,26 @@ def test_optimal_iterations_multiple_marked_matches_scan():
         assert probs[best] >= max(probs) - 1e-9
 
 
+# (n, k, horizon): dense scans with k marked states, over the whole curve up
+# to the optimum when horizon is None.
+CLOSED_FORM_CURVES = [(n, k, None) for n in range(2, 15) for k in (1, 2, 3)] + [
+    (16, 1, None), (18, 1, 3), (20, 1, 3),
+]
+
+
+def test_dense_scan_follows_the_closed_form_curve():
+    # p(t) = sin((2t + 1) * theta)**2 with theta = asin(sqrt(k / N)). Roundoff
+    # accumulates over iterations (worst measured 5.65e-15 * (t + 1), at
+    # n=16), so the bound grows with t; a flat 1e-12 fails at n=16.
+    for n, k, horizon in CLOSED_FORM_CURVES:
+        size = 1 << n
+        theta = math.asin(math.sqrt(k / size))
+        t_max = horizon or max(1, optimal_iterations(size, k))
+        config = GroverConfig(n, Oracle(n, marked=set(range(1, k + 1))))
+        for t, p in scan_probabilities(config, t_max):
+            assert abs(p - math.sin((2 * t + 1) * theta) ** 2) <= 2e-14 * (t + 1), (n, k, t)
+
+
 def test_scan_probabilities_four_state_series():
     oracle = Oracle(2, marked={2})
     series = scan_probabilities(GroverConfig(2, oracle), 6)
@@ -441,6 +461,22 @@ def test_classical_baseline_validation():
         classical_baseline(4, {0}, -1, 1)
     with pytest.raises(ValueError):
         classical_baseline(4, {0}, 1, 0)
+
+
+def test_classical_baseline_caps_size_before_allocating():
+    # The lookup table for 2**26 states would take 64 MiB; the default cap
+    # is 24 qubits.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"^size 67108864 exceeds 2\*\*24, the 24-qubit cap$"):
+            classical_baseline(2**26, {0}, 1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ResourceLimitError, match="the 3-qubit cap"):
+        classical_baseline(9, {0}, 1, 1, max_qubits=3)
+    assert classical_baseline(8, {0}, 1, 1, max_qubits=3).analytic == 0.125
 
 
 def test_classical_baseline_multiple_marked():

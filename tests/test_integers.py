@@ -34,6 +34,7 @@ from groversim import (
     scan_probabilities,
     uniform_state,
     wh_matrix_entry,
+    wh_sign,
 )
 
 
@@ -84,11 +85,20 @@ ENTRY_POINTS = [
     ("outcome", lambda v: TraceDocument(1, 0, [], v, 0)),
     ("oracle_evals", lambda v: TraceDocument(1, 0, [], 0, v)),
 ]
+# Named by function: a second bare "q" id would renumber the first one's.
+NAMED_ENTRY_POINTS = {
+    "wh_sign-q": ("q", lambda v: wh_sign(v, 0)),
+    "wh_sign-r": ("r", lambda v: wh_sign(0, v)),
+}
 NOT_INTEGERS = [True, False, 1.0, 2.5, np.float64(1.0)]
 
 
 @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
-@pytest.mark.parametrize("name,call", ENTRY_POINTS, ids=[name for name, _ in ENTRY_POINTS])
+@pytest.mark.parametrize(
+    "name,call",
+    ENTRY_POINTS + list(NAMED_ENTRY_POINTS.values()),
+    ids=[name for name, _ in ENTRY_POINTS] + list(NAMED_ENTRY_POINTS),
+)
 def test_every_integer_argument_refuses_bools_and_floats(name, call, value):
     with pytest.raises(ValueError, match=f"^{re.escape(f'{name}: expected an integer, got {value!r}')}$"):
         call(value)
@@ -102,6 +112,8 @@ def test_every_integer_argument_refuses_bools_and_floats(name, call, value):
         (lambda: basis_state(2, -1), "r: must be >= 0 and <= 3, got -1"),
         (lambda: wh_matrix_entry(63, 0, 0), "n: must be >= 1 and <= 62, got 63"),
         (lambda: wh_matrix_entry(2, 0, 4), "r: must be >= 0 and <= 3, got 4"),
+        (lambda: wh_sign(-1, 0), "q: must be >= 0, got -1"),
+        (lambda: wh_sign(0, -1), "r: must be >= 0, got -1"),
         (lambda: config(seed=-1), "seed: must be >= 0, got -1"),
         (lambda: roman_numeral(0), "value: must be >= 1, got 0"),
         (lambda: optimal_iterations(1, 1), "size: must be >= 2, got 1"),
