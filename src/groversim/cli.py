@@ -9,18 +9,14 @@ produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
-from .documents import (
-    TraceDocument,
-    parse_circuit_document,
-    render_circuit_document,
-    write_trace_document,
-)
+from .documents import parse_circuit_document, render_circuit_document
 from .grover import (
     GroverConfig,
     Oracle,
@@ -100,10 +96,13 @@ def _load_circuit(path: str) -> ReversibleCircuit:
 def _output_file(path: str, kind: str) -> Iterator[TextIO]:
     """A new file beside path that replaces path when the block ends. If
     anything fails first, the file is removed and path is left as it was;
-    an OSError becomes a ValueError naming the document."""
+    an OSError becomes a ValueError naming the document. A directory at
+    path is refused before the file is made."""
     tmp = f"{path}.{os.getpid()}.tmp"
     made = False
     try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         with open(tmp, "x", encoding="utf-8") as out:
             made = True
             yield out
@@ -125,13 +124,12 @@ def cmd_grover_run(args: argparse.Namespace) -> int:
         oracle=oracle,
         iterations=args.iterations,
         seed=args.seed,
-        trace_every_step=args.trace is not None,
         max_qubits=cap,
     )
-    # The trace file is opened before the run, so an unwritable path costs
-    # no work, and it takes PATH's name only once the whole document is in.
+    # The run writes into a trace file opened before it, so an unwritable path
+    # costs no work, and the file takes PATH's name once the whole document is in.
     with _output_file(args.trace, "trace") if args.trace is not None else nullcontext() as out:
-        trace = run_grover(config)
+        trace = run_grover(config, out)
         if trace.degenerate:
             print(
                 "note: at least half the space is marked; the auto iteration count is degenerate",
@@ -148,8 +146,6 @@ def cmd_grover_run(args: argparse.Namespace) -> int:
             print(f"outcome: {trace.outcome}")
             print(f"success_probability: {prob!r}")
             print(f"oracle_evals: {trace.oracle_evals}")
-        if out is not None:
-            write_trace_document(TraceDocument.from_trace(trace), out)
     return 0
 
 

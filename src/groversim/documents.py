@@ -5,9 +5,10 @@ Gate and ReversibleCircuit) check every rule of a document, the parsers
 check JSON types and name the offending field, and the renderers only
 format. Floats take 17 significant digits, so a write-read cycle keeps
 every double, and the layout is fixed, so equal documents are byte-identical.
-A trace is written to a text file one snapshot at a time, and rendering
-is that writer into a string; a snapshot formats each distinct amplitude
-once, by bit pattern. The parser's object hook decides each amplitude list
+A trace is written to a text file one snapshot at a time, through one
+writer that a TraceDocument and a traced run (grover.run_grover) share,
+each snapshot checked by one rule; rendering is that writer into a string.
+A snapshot formats each distinct amplitude once, by bit pattern. The parser's object hook decides each amplitude list
 once, as soon as JSON closes its step: after one bulk type check of its
 [re, im] pairs it becomes a complex128 vector or the text of its fault, so
 the parser never holds the list tree of more than one snapshot; neither
@@ -24,7 +25,6 @@ from typing import Any, Callable, ClassVar, TextIO
 
 import numpy as np
 
-from .grover import SimulationTrace
 from .reversible import Gate, ReversibleCircuit
 from .state import MAX_INDEX_QUBITS, RNG_ALGORITHM, _as_int
 
@@ -92,43 +92,49 @@ class TraceDocument:
         _as_int(self.seed, "seed")
         _as_int(self.outcome, "outcome", 0, size - 1)
         _as_int(self.oracle_evals, "oracle_evals", 0)
-        steps = []
-        for i, (label, amps) in enumerate(self.steps):
-            amps = np.ascontiguousarray(amps, dtype=np.complex128)
-            if amps.shape != (size,):
-                raise ValueError(f"steps[{i}].amplitudes: has shape {amps.shape}, expected ({size},)")
-            drift = abs(float(np.linalg.norm(amps)) - 1.0)
-            if not drift <= TRACE_NORM_TOLERANCE:
-                raise ValueError(f"steps[{i}]: snapshot norm differs from 1 by {drift:g}")
-            steps.append((str(label), amps))
-        self.steps = steps
+        self.steps = [(str(label), _snapshot(i, amps, size))
+                      for i, (label, amps) in enumerate(self.steps)]
 
-    @staticmethod
-    def from_trace(trace: SimulationTrace) -> "TraceDocument":
-        return TraceDocument(
-            n=trace.n,
-            seed=trace.seed,
-            steps=[(label, snap.amps) for label, snap in trace.steps],
-            outcome=trace.outcome,
-            oracle_evals=trace.oracle_evals,
-        )
+
+def _snapshot(i: int, amps: Any, size: int) -> np.ndarray:
+    """Snapshot i as a contiguous complex128 vector of `size` amplitudes,
+    refused unless it has that shape and unit norm."""
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
+    if amps.shape != (size,):
+        raise ValueError(f"steps[{i}].amplitudes: has shape {amps.shape}, expected ({size},)")
+    drift = abs(float(np.linalg.norm(amps)) - 1.0)
+    if not drift <= TRACE_NORM_TOLERANCE:
+        raise ValueError(f"steps[{i}]: snapshot norm differs from 1 by {drift:g}")
+    return amps
+
+
+def _write_head(fp: TextIO, n: int, seed: int, algorithm: str = RNG_ALGORITHM) -> None:
+    fp.write("{\n")
+    fp.write(f'  "format_version": {json.dumps(TRACE_FORMAT_VERSION)},\n')
+    fp.write(f'  "n": {n},\n')
+    fp.write(f'  "rng": {{"algorithm": {json.dumps(algorithm)}, "seed": {seed}}},\n')
+    fp.write('  "steps": [')
+
+
+def _write_step(fp: TextIO, i: int, label: str, amps: np.ndarray) -> None:
+    sep = ",\n" if i else "\n"
+    fp.write(f'{sep}    {{"label": {json.dumps(label)}, "amplitudes": [{_format_pairs(amps)}]}}')
+
+
+def _write_tail(fp: TextIO, steps: int, outcome: int, oracle_evals: int) -> None:
+    fp.write("\n  ],\n" if steps else "],\n")
+    fp.write(f'  "outcome": {outcome},\n')
+    fp.write(f'  "oracle_evals": {oracle_evals}\n')
+    fp.write("}\n")
 
 
 def write_trace_document(doc: TraceDocument, fp: TextIO) -> None:
     """Writes the document's text to fp one snapshot at a time, so at most
     one snapshot's text is held."""
-    fp.write("{\n")
-    fp.write(f'  "format_version": {json.dumps(doc.format_version)},\n')
-    fp.write(f'  "n": {doc.n},\n')
-    fp.write(f'  "rng": {{"algorithm": {json.dumps(doc.algorithm)}, "seed": {doc.seed}}},\n')
-    fp.write('  "steps": [')
+    _write_head(fp, doc.n, doc.seed, doc.algorithm)
     for i, (label, amps) in enumerate(doc.steps):
-        sep = ",\n" if i else "\n"
-        fp.write(f'{sep}    {{"label": {json.dumps(label)}, "amplitudes": [{_format_pairs(amps)}]}}')
-    fp.write("\n  ],\n" if doc.steps else "],\n")
-    fp.write(f'  "outcome": {doc.outcome},\n')
-    fp.write(f'  "oracle_evals": {doc.oracle_evals}\n')
-    fp.write("}\n")
+        _write_step(fp, i, label, amps)
+    _write_tail(fp, len(doc.steps), doc.outcome, doc.oracle_evals)
 
 
 def render_trace_document(doc: TraceDocument) -> str:

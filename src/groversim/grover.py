@@ -1,5 +1,6 @@
 """Quantum search driver: oracle bookkeeping, the four-step iteration,
 traced runs, oscillation scans, and the classical random-guess baseline.
+A traced run writes each snapshot as the step loop yields it and keeps none.
 """
 from __future__ import annotations
 
@@ -7,10 +8,11 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
+from .documents import _snapshot, _write_head, _write_step, _write_tail
 from .state import (
     DEFAULT_MAX_QUBITS,
     MAX_INDEX_QUBITS,
@@ -69,7 +71,6 @@ class GroverConfig:
     oracle: Oracle
     iterations: IterationSpec = "auto"
     seed: int = 0
-    trace_every_step: bool = False
     max_qubits: int = DEFAULT_MAX_QUBITS
 
     def __post_init__(self) -> None:
@@ -86,19 +87,12 @@ class GroverConfig:
 
 @dataclass
 class SimulationTrace:
-    """Everything one run produced.
-
-    steps holds (label, snapshot) pairs, labeled with lowercase roman
-    numerals in execution order starting at "i" for the post-init state;
-    it is empty unless the run traced every step. Each snapshot is a copy
-    of the engine's buffer at that step, and in a traced run final_state
-    (the pre-measurement vector) is the last snapshot itself.
-    """
+    """Everything one run produced; final_state is the pre-measurement
+    vector."""
 
     n: int
     iterations: int
     seed: int
-    steps: list[tuple[str, AmplitudeVector]]
     final_state: AmplitudeVector
     outcome: int
     oracle_evals: int
@@ -181,40 +175,40 @@ def resolve_iterations(config: GroverConfig) -> tuple[int, bool]:
     return config.iterations, False
 
 
-def run_grover(config: GroverConfig) -> SimulationTrace:
+def run_grover(config: GroverConfig, trace: TextIO | None = None) -> SimulationTrace:
     """Run the full search and measure once at the end.
 
     The state starts as the transform of basis state 0, runs the four-step
     iteration the resolved number of times, then measures with a fresh
-    generator seeded from config.seed. With trace_every_step on, snapshots
-    cover the initialized state and every step of every iteration; a trace
-    of more than 2**max_qubits amplitudes in all raises ResourceLimitError
-    before anything is allocated.
+    generator seeded from config.seed. Given a text file, trace receives
+    the run's trace document as the run goes: the initialized state and
+    every step of every iteration, each checked as TraceDocument checks it.
+    A trace of more than 2**max_qubits amplitudes in all raises
+    ResourceLimitError before anything is written or allocated.
     """
     iterations, degenerate = resolve_iterations(config)
-    traced = config.trace_every_step
-    if traced and (4 * iterations + 1) << config.n > 1 << config.max_qubits:
-        raise ResourceLimitError(
-            f"a trace of {4 * iterations + 1} snapshots at n={config.n} exceeds "
-            f"2**{config.max_qubits} amplitudes, the {config.max_qubits}-qubit cap"
-        )
+    if trace is not None:
+        if (4 * iterations + 1) << config.n > 1 << config.max_qubits:
+            raise ResourceLimitError(
+                f"a trace of {4 * iterations + 1} snapshots at n={config.n} exceeds "
+                f"2**{config.max_qubits} amplitudes, the {config.max_qubits}-qubit cap"
+            )
+        _write_head(trace, config.n, config.seed)
     evals_before = config.oracle.eval_count
-    steps: list[tuple[str, AmplitudeVector]] = []
-    for i, state in enumerate(_step_states(config.n, config.oracle, iterations), start=1):
-        if traced:
-            steps.append((roman_numeral(i), state.copy()))
-    # The loop has run the engine to its end, so its last vector is free to keep.
-    if traced:
-        state = steps[-1][1]
+    for i, state in enumerate(_step_states(config.n, config.oracle, iterations)):
+        if trace is not None:
+            _write_step(trace, i, roman_numeral(i + 1), _snapshot(i, state.amps, 1 << config.n))
     outcome, _ = measure(state, np.random.default_rng(config.seed))
+    oracle_evals = config.oracle.eval_count - evals_before
+    if trace is not None:
+        _write_tail(trace, i + 1, outcome, oracle_evals)
     return SimulationTrace(
         n=config.n,
         iterations=iterations,
         seed=config.seed,
-        steps=steps,
         final_state=state,
         outcome=outcome,
-        oracle_evals=config.oracle.eval_count - evals_before,
+        oracle_evals=oracle_evals,
         degenerate=degenerate,
     )
 
@@ -296,12 +290,14 @@ def classical_baseline(
     rng = np.random.default_rng(seed)
     lookup = np.zeros(size, dtype=bool)
     lookup[idx] = True
+    # At most 2**22 draws at a time: whole trials in rows, or one trial in pieces.
+    piece = 1 << 22
+    rows, cols = max(1, piece // iterations), min(iterations, piece)
     hits = 0
-    remaining = trials
-    block = max(1, (1 << 22) // iterations)
-    while remaining:
-        rows = min(block, remaining)
-        draws = rng.integers(0, size, size=(rows, iterations))
-        hits += int(lookup[draws].any(axis=1).sum())
-        remaining -= rows
+    for start in range(0, trials, rows):
+        hit = np.zeros(min(rows, trials - start), dtype=bool)
+        for done in range(0, iterations, cols):
+            shape = (hit.size, min(cols, iterations - done))
+            hit |= lookup[rng.integers(0, size, size=shape)].any(axis=1)
+        hits += int(hit.sum())
     return ClassicalResult(hits / trials, analytic)

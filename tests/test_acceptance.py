@@ -36,6 +36,7 @@ from groversim import (
 )
 from groversim.reversible import Gate, ReversibleCircuit
 from groversim.state import AmplitudeVector
+from tracing import traced
 
 FOUR_STATE_TRACE = np.array([
     [0.5, 0.5, 0.5, 0.5],
@@ -70,20 +71,19 @@ def random_unit_vector(n, rng):
 
 def test_criterion_01_four_state_trace():
     with criterion(1, "two-qubit traced run reproduces all five snapshots"):
-        config = GroverConfig(2, Oracle(2, marked={2}), iterations=1, trace_every_step=True)
-        trace = run_grover(config)
-        assert [label for label, _ in trace.steps] == ["i", "ii", "iii", "iv", "v"]
-        for (_, snap), expected in zip(trace.steps, FOUR_STATE_TRACE):
-            assert np.max(np.abs(snap.amps.real - expected)) <= 1e-12
-            assert np.all(snap.amps.imag == 0.0)
+        config = GroverConfig(2, Oracle(2, marked={2}), iterations=1)
+        trace, doc = traced(config)
+        assert [label for label, _ in doc.steps] == ["i", "ii", "iii", "iv", "v"]
+        for (_, amps), expected in zip(doc.steps, FOUR_STATE_TRACE):
+            assert np.max(np.abs(amps.real - expected)) <= 1e-12
+            assert np.all(amps.imag == 0.0)
         prob = success_probability(trace.final_state, config.oracle)
         assert abs(prob - 1.0) <= 1e-12
 
         best = math.inf
         for _ in range(20):
             tick = time.perf_counter()
-            run_grover(GroverConfig(2, Oracle(2, marked={2}), iterations=1,
-                                    trace_every_step=True))
+            traced(GroverConfig(2, Oracle(2, marked={2}), iterations=1))
             best = min(best, time.perf_counter() - tick)
         assert best < 1e-3  # runtime budget: under 1 ms
 

@@ -116,6 +116,20 @@ def test_run_trace_peaks_below_its_snapshots_plus_half_a_mebibyte(tmp_path, caps
     assert peak < (4 * 25 + 1) * 16 * 2**10 + (512 << 10)
 
 
+def test_run_trace_holds_no_snapshots(tmp_path, capsys):
+    # An n=12 auto trace has 201 snapshots of 64 KiB; the run writes each
+    # as the engine yields it.
+    path = tmp_path / "trace.json"
+    tracemalloc.start()
+    try:
+        assert main(["grover", "run", "--qubits", "12", "--marked", "3", "--trace", str(path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.startswith("iterations: 50\n")
+    assert peak < 2 << 20
+
+
 def test_run_trace_file_mode_is_that_of_a_new_file(tmp_path, capsys):
     path = tmp_path / "trace.json"
     path.write_bytes(b"earlier trace")
@@ -134,25 +148,46 @@ def test_run_trace_to_a_directory_exits_2_and_leaves_no_temporary_file(tmp_path,
     folder.mkdir()
     assert main(["grover", "run", "--qubits", "2", "--marked", "2", "--trace", str(folder)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == RUN_GOLDEN
-    assert captured.err.startswith(f"error: cannot write trace document {str(folder)!r}: ")
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write trace document {str(folder)!r}: Is a directory\n"
     assert list(tmp_path.iterdir()) == [folder]
     assert list(folder.iterdir()) == []
 
 
 def test_interrupted_trace_write_keeps_the_earlier_file(tmp_path, monkeypatch, capsys):
-    import groversim.cli
+    import groversim.grover
 
-    def interrupt(doc, fp):
-        fp.write("{\n")
+    def interrupt(state, rng):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(groversim.cli, "write_trace_document", interrupt)
+    monkeypatch.setattr(groversim.grover, "measure", interrupt)
     path = tmp_path / "trace.json"
     path.write_bytes(b"earlier trace")
     with pytest.raises(KeyboardInterrupt):
         main(["grover", "run", "--qubits", "2", "--marked", "2", "--trace", str(path)])
     capsys.readouterr()
+    assert path.read_bytes() == b"earlier trace"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_run_trace_snapshot_off_the_unit_norm_exits_2_and_keeps_the_earlier_file(
+        tmp_path, monkeypatch, capsys):
+    import groversim.grover
+
+    flip_zero = groversim.grover.invert_phase_zero
+
+    def doubled(state, in_place=False):
+        out = flip_zero(state, in_place=in_place)
+        out.amps *= 2
+        return out
+
+    monkeypatch.setattr(groversim.grover, "invert_phase_zero", doubled)
+    path = tmp_path / "trace.json"
+    path.write_bytes(b"earlier trace")
+    assert main(["grover", "run", "--qubits", "2", "--marked", "2", "--trace", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: steps[3]: snapshot norm differs from 1 by 1\n"
     assert path.read_bytes() == b"earlier trace"
     assert list(tmp_path.iterdir()) == [path]
 

@@ -22,11 +22,11 @@ from groversim import (
     parse_trace_document,
     render_circuit_document,
     render_trace_document,
-    run_grover,
     write_trace_document,
 )
 from groversim.cli import main
 from groversim.documents import _format_floats
+from tracing import traced
 
 ADDER_DOC = """{
   "format_version": "1",
@@ -40,9 +40,7 @@ ADDER_DOC = """{
 
 
 def four_state_trace_doc():
-    oracle = Oracle(2, marked={2})
-    trace = run_grover(GroverConfig(2, oracle, iterations=1, trace_every_step=True, seed=3))
-    return TraceDocument.from_trace(trace)
+    return traced(GroverConfig(2, Oracle(2, marked={2}), iterations=1, seed=3))[1]
 
 
 def test_format_float_round_trips_doubles():
@@ -149,16 +147,12 @@ def test_table_renderer_matches_the_per_value_renderer(snapshot):
 @pytest.mark.parametrize("n", range(1, 12))
 def test_traced_runs_render_as_the_per_value_renderer_does(n):
     marked = {(5 * n) % (1 << n)} if n < 4 else {3, (1 << n) - 2}
-    trace = run_grover(GroverConfig(n, Oracle(n, marked=marked), seed=n, trace_every_step=True))
-    doc = TraceDocument.from_trace(trace)
+    _, doc = traced(GroverConfig(n, Oracle(n, marked=marked), seed=n))
     assert render_differences(doc) is None
 
 
 def test_trace_round_trip_with_empty_steps():
-    oracle = Oracle(2, marked={2})
-    trace = run_grover(GroverConfig(2, oracle, iterations=1))
-    doc = TraceDocument.from_trace(trace)
-    text = render_trace_document(doc)
+    text = render_trace_document(TraceDocument(2, 0, [], 2, 1))
     parsed = parse_trace_document(text)
     assert parsed.steps == []
     assert render_trace_document(parsed) == text

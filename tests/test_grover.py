@@ -1,7 +1,7 @@
+import io
 import math
 import re
 import tracemalloc
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from groversim import (
     uniform_state,
     walsh_hadamard_fast,
 )
+from tracing import traced
 
 # The four-state search with marked={2} and one iteration, worked by hand:
 # snapshot after init, then after each of the four steps.
@@ -147,12 +148,11 @@ def test_grover_iteration_four_states():
 
 def test_run_grover_trace_labels_and_values():
     oracle = Oracle(2, marked={2})
-    config = GroverConfig(2, oracle, iterations=1, trace_every_step=True)
-    trace = run_grover(config)
-    assert [label for label, _ in trace.steps] == ["i", "ii", "iii", "iv", "v"]
-    for (_, snap), want in zip(trace.steps, FOUR_STATE_TRACE):
-        assert np.allclose(snap.amps.real, want, rtol=0.0, atol=1e-12)
-        assert not snap.amps.imag.any()
+    trace, doc = traced(GroverConfig(2, oracle, iterations=1))
+    assert [label for label, _ in doc.steps] == ["i", "ii", "iii", "iv", "v"]
+    for (_, amps), want in zip(doc.steps, FOUR_STATE_TRACE):
+        assert np.allclose(amps.real, want, rtol=0.0, atol=1e-12)
+        assert not amps.imag.any()
     assert trace.outcome == 2
     assert trace.oracle_evals == 1
     assert trace.iterations == 1
@@ -161,14 +161,14 @@ def test_run_grover_trace_labels_and_values():
 
 def test_traced_snapshots_match_the_public_step_functions():
     oracle = Oracle(4, marked={5, 9})
-    trace = run_grover(GroverConfig(4, oracle, iterations=2, trace_every_step=True))
+    _, doc = traced(GroverConfig(4, oracle, iterations=2))
     steps = [lambda v: invert_phase_marked(v, oracle), walsh_hadamard_fast,
              invert_phase_zero, walsh_hadamard_fast]
     state = walsh_hadamard_fast(basis_state(4, 0))
-    for i, (_, snap) in enumerate(trace.steps):
+    for i, (_, amps) in enumerate(doc.steps):
         if i > 0:
             state = steps[(i - 1) % 4](state)
-        assert snap.amps.tobytes() == state.amps.tobytes()
+        assert amps.tobytes() == state.amps.tobytes()
 
 
 def test_every_step_goes_through_the_public_step_functions(monkeypatch):
@@ -197,22 +197,21 @@ def test_every_step_goes_through_the_public_step_functions(monkeypatch):
 
 def test_run_grover_two_iterations_has_nine_snapshots():
     oracle = Oracle(3, marked={5})
-    trace = run_grover(GroverConfig(3, oracle, iterations=2, trace_every_step=True))
-    labels = [label for label, _ in trace.steps]
+    _, doc = traced(GroverConfig(3, oracle, iterations=2))
+    labels = [label for label, _ in doc.steps]
     assert labels == ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix"]
 
 
 def test_run_grover_without_tracing_keeps_no_snapshots():
     oracle = Oracle(2, marked={2})
     trace = run_grover(GroverConfig(2, oracle, iterations=1))
-    assert trace.steps == []
     assert np.allclose(trace.final_state.amps.real, FOUR_STATE_TRACE[4], rtol=0.0, atol=1e-12)
 
 
 def test_run_grover_zero_iterations():
     oracle = Oracle(2, marked={2})
-    trace = run_grover(GroverConfig(2, oracle, iterations=0, trace_every_step=True))
-    assert [label for label, _ in trace.steps] == ["i"]
+    trace, doc = traced(GroverConfig(2, oracle, iterations=0))
+    assert [label for label, _ in doc.steps] == ["i"]
     assert trace.oracle_evals == 0
     assert np.allclose(trace.final_state.amps.real, FOUR_STATE_TRACE[0], rtol=0.0, atol=1e-12)
 
@@ -364,15 +363,12 @@ def test_scan_runs_and_traces_share_one_step_loop():
     for t, p in series:
         run = run_grover(GroverConfig(n, Oracle(n, marked=marked), iterations=t))
         assert p == success_probability(run.final_state, oracle)
-    trace = run_grover(GroverConfig(n, oracle, iterations=8, trace_every_step=True))
-    assert trace.final_state is trace.steps[-1][1]
-    arrays = [snap.amps for _, snap in trace.steps]
-    assert not any(np.shares_memory(x, y) for x, y in combinations(arrays, 2))
+    _, doc = traced(GroverConfig(n, oracle, iterations=8))
     state = walsh_hadamard_fast(basis_state(n, 0))
-    for t, (_, snap) in enumerate(trace.steps[::4]):
+    for t, (_, amps) in enumerate(doc.steps[::4]):
         if t > 0:
             state = grover_iteration(state, oracle)
-        assert snap.amps.tobytes() == state.amps.tobytes()
+        assert amps.tobytes() == state.amps.tobytes()
 
 
 def test_untraced_run_and_scan_keep_few_states_alive():
@@ -398,18 +394,17 @@ def test_untraced_run_and_scan_keep_few_states_alive():
 def test_traced_run_volume_is_capped_before_simulating():
     # (4t + 1) * 2**3 amplitudes against a cap of 2**5: t = 0 fits, t = 1 does not.
     oracle = Oracle(3, marked={5})
-    config = GroverConfig(3, oracle, iterations=0, trace_every_step=True, max_qubits=5)
-    assert len(run_grover(config).steps) == 1
-    config = GroverConfig(3, oracle, iterations=1, trace_every_step=True, max_qubits=5)
-    with pytest.raises(ResourceLimitError, match="5 snapshots at n=3 exceeds 2\\*\\*5"):
-        run_grover(config)
-    assert oracle.eval_count == 0
+    assert len(traced(GroverConfig(3, oracle, iterations=0, max_qubits=5))[1].steps) == 1
     config = GroverConfig(3, oracle, iterations=1, max_qubits=5)
+    out = io.StringIO()
+    with pytest.raises(ResourceLimitError, match="5 snapshots at n=3 exceeds 2\\*\\*5"):
+        run_grover(config, out)
+    assert oracle.eval_count == 0
+    assert out.getvalue() == ""
     assert run_grover(config).oracle_evals == 1
     # A trace of exactly 2**max_qubits amplitudes is allowed.
     oracle = Oracle(5, marked={5})
-    config = GroverConfig(5, oracle, iterations=0, trace_every_step=True, max_qubits=5)
-    assert len(run_grover(config).steps) == 1
+    assert len(traced(GroverConfig(5, oracle, iterations=0, max_qubits=5))[1].steps) == 1
     # A register over the cap is refused when the config is built, before
     # the auto iteration count is worked out.
     with pytest.raises(ResourceLimitError, match="n=40 exceeds the 24-qubit cap"):
@@ -477,6 +472,17 @@ def test_classical_baseline_caps_size_before_allocating():
     with pytest.raises(ResourceLimitError, match="the 3-qubit cap"):
         classical_baseline(9, {0}, 1, 1, max_qubits=3)
     assert classical_baseline(8, {0}, 1, 1, max_qubits=3).analytic == 0.125
+
+
+def test_classical_baseline_draws_a_long_trial_in_pieces():
+    # One row of 2**24 draws would take 144 MiB (8 bytes a draw, 1 for its hit).
+    tracemalloc.start()
+    try:
+        assert classical_baseline(16, {0}, 2**24, 1).empirical == 1.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20
 
 
 def test_classical_baseline_multiple_marked():
