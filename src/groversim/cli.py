@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import json
 import os
 import sys
 from contextlib import contextmanager, nullcontext
@@ -68,16 +69,6 @@ def _iterations_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}") from None
 
 
-def _seed_arg(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
-    return seed
-
-
 def _parse_bitstring(text: str) -> list[int]:
     if not text or any(ch not in "01" for ch in text):
         raise ValueError(f"input must be a non-empty string of 0s and 1s, got {text!r}")
@@ -114,50 +105,43 @@ def _output_file(path: str, kind: str) -> Iterator[TextIO]:
             os.remove(tmp)
 
 
-def cmd_grover_run(args: argparse.Namespace) -> int:
+def _search_config(args: argparse.Namespace, **options) -> GroverConfig:
+    """The capped config of `grover run` and `grover scan`; options go to
+    GroverConfig, which checks them."""
     cap = _qubit_cap()
     # Over the cap is exit 3, however large; Oracle refuses n > 62 with exit 2.
     _require_qubits(args.qubits, cap)
     oracle = Oracle(args.qubits, marked=args.marked)
-    config = GroverConfig(
-        n=args.qubits,
-        oracle=oracle,
-        iterations=args.iterations,
-        seed=args.seed,
-        max_qubits=cap,
-    )
+    return GroverConfig(args.qubits, oracle, max_qubits=cap, **options)
+
+
+def cmd_grover_run(args: argparse.Namespace) -> int:
+    config = _search_config(args, iterations=args.iterations, seed=args.seed)
     # The run writes into a trace file opened before it, so an unwritable path
-    # costs no work, and the file takes PATH's name once the whole document is in.
+    # costs no work, and the report is printed once the file has PATH's name.
     with _output_file(args.trace, "trace") if args.trace is not None else nullcontext() as out:
         trace = run_grover(config, out)
-        if trace.degenerate:
-            print(
-                "note: at least half the space is marked; the auto iteration count is degenerate",
-                file=sys.stderr,
-            )
-        prob = success_probability(trace.final_state, oracle)
-        if args.format == "json":
-            print(
-                f'{{"iterations":{trace.iterations},"outcome":{trace.outcome},'
-                f'"success_probability":{prob!r},"oracle_evals":{trace.oracle_evals}}}'
-            )
-        else:
-            print(f"iterations: {trace.iterations}")
-            print(f"outcome: {trace.outcome}")
-            print(f"success_probability: {prob!r}")
-            print(f"oracle_evals: {trace.oracle_evals}")
+    if trace.degenerate:
+        print(
+            "note: at least half the space is marked; the auto iteration count is degenerate",
+            file=sys.stderr,
+        )
+    report = {
+        "iterations": trace.iterations,
+        "outcome": trace.outcome,
+        "success_probability": success_probability(trace.final_state, config.oracle),
+        "oracle_evals": trace.oracle_evals,
+    }
+    if args.format == "json":
+        print(json.dumps(report, separators=(",", ":")))
+    else:
+        print("\n".join(f"{key}: {value!r}" for key, value in report.items()))
     return 0
 
 
 def cmd_grover_scan(args: argparse.Namespace) -> int:
-    cap = _qubit_cap()
-    _require_qubits(args.qubits, cap)
-    oracle = Oracle(args.qubits, marked=args.marked)
-    config = GroverConfig(n=args.qubits, oracle=oracle, max_qubits=cap)
-    series = scan_probabilities(config, args.max_iterations)
-    lines = ["t,success_probability"]
-    lines.extend(f"{t},{format(p, '.15g')}" for t, p in series)
-    print("\n".join(lines))
+    series = scan_probabilities(_search_config(args), args.max_iterations)
+    print("t,success_probability", *(f"{t},{p:.15g}" for t, p in series), sep="\n")
     return 0
 
 
@@ -207,14 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
     grover = sub.add_parser("grover", help="quantum search commands")
     gsub = grover.add_subparsers(dest="grover_command", required=True)
 
-    run_p = gsub.add_parser("run", help="run the search once and measure")
-    run_p.add_argument("--qubits", type=int, required=True, metavar="N",
-                       help="register width; the search space has 2**N states")
-    run_p.add_argument("--marked", type=_marked_arg, required=True, metavar="R[,R...]",
-                       help="comma-separated marked basis indices")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--qubits", type=int, required=True, metavar="N",
+                        help="register width; the search space has 2**N states")
+    search.add_argument("--marked", type=_marked_arg, required=True, metavar="R[,R...]",
+                        help="comma-separated marked basis indices")
+
+    run_p = gsub.add_parser("run", parents=[search], help="run the search once and measure")
     run_p.add_argument("--iterations", type=_iterations_arg, default="auto", metavar="T",
                        help="iteration count or 'auto' for the optimum (default: auto)")
-    run_p.add_argument("--seed", type=_seed_arg, default=0, metavar="S",
+    run_p.add_argument("--seed", type=int, default=0, metavar="S",
                        help="measurement seed (default: 0)")
     run_p.add_argument("--trace", metavar="PATH",
                        help="also write a step-by-step trace document to PATH")
@@ -222,11 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stdout format (default: text)")
     run_p.set_defaults(handler=cmd_grover_run)
 
-    scan_p = gsub.add_parser("scan", help="tabulate success probability against iteration count")
-    scan_p.add_argument("--qubits", type=int, required=True, metavar="N",
-                        help="register width; the search space has 2**N states")
-    scan_p.add_argument("--marked", type=_marked_arg, required=True, metavar="R[,R...]",
-                        help="comma-separated marked basis indices")
+    scan_p = gsub.add_parser("scan", parents=[search],
+                             help="tabulate success probability against iteration count")
     scan_p.add_argument("--max-iterations", type=int, required=True, metavar="T",
                         help="scan t = 0..T (T >= 1)")
     scan_p.add_argument("--format", choices=("csv",), default="csv",
@@ -242,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="uniform draws per trial")
     classical_p.add_argument("--trials", type=int, default=100000, metavar="M",
                              help="Monte Carlo trials (default: 100000)")
-    classical_p.add_argument("--seed", type=_seed_arg, default=0, metavar="S",
+    classical_p.add_argument("--seed", type=int, default=0, metavar="S",
                              help="sampling seed (default: 0)")
     classical_p.set_defaults(handler=cmd_classical)
 

@@ -164,14 +164,14 @@ def resolve_iterations(config: GroverConfig) -> tuple[int, bool]:
     "auto" picks optimal_iterations. The flag is True when at least half
     the space is marked; the optimum then sits below one full iteration
     and amplification cannot help, but the count returned is still the
-    best available.
+    best available: 0 when every state is marked.
     """
     if config.iterations == "auto":
         k = config.oracle.marked_count
         size = 1 << config.n
         if k == 0:
             raise ValueError("cannot auto-select iterations: oracle marks no states")
-        return optimal_iterations(size, k), 2 * k >= size
+        return (optimal_iterations(size, k) if k < size else 0), 2 * k >= size
     return config.iterations, False
 
 
@@ -183,15 +183,17 @@ def run_grover(config: GroverConfig, trace: TextIO | None = None) -> SimulationT
     generator seeded from config.seed. Given a text file, trace receives
     the run's trace document as the run goes: the initialized state and
     every step of every iteration, each checked as TraceDocument checks it.
-    A trace of more than 2**max_qubits amplitudes in all raises
-    ResourceLimitError before anything is written or allocated.
+    A trace of more than 2**max_qubits amplitudes and label characters in
+    all raises ResourceLimitError before anything is written or allocated.
     """
     iterations, degenerate = resolve_iterations(config)
     if trace is not None:
-        if (4 * iterations + 1) << config.n > 1 << config.max_qubits:
+        # Each label, roman_numeral(i), carries one "m" per thousand snapshots.
+        snapshots = 4 * iterations + 1
+        if snapshots * ((1 << config.n) + snapshots // 1000) > 1 << config.max_qubits:
             raise ResourceLimitError(
-                f"a trace of {4 * iterations + 1} snapshots at n={config.n} exceeds "
-                f"2**{config.max_qubits} amplitudes, the {config.max_qubits}-qubit cap"
+                f"a trace of {snapshots} snapshots at n={config.n} exceeds 2**{config.max_qubits} "
+                f"amplitudes and label characters, the {config.max_qubits}-qubit cap"
             )
         _write_head(trace, config.n, config.seed)
     evals_before = config.oracle.eval_count

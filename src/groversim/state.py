@@ -118,8 +118,8 @@ def measure(state: AmplitudeVector, rng: RandomSource) -> tuple[int, AmplitudeVe
         Vector to measure; its amplitudes must be finite and its norm 1
         within 1e-6.
     rng : int or numpy.random.Generator
-        Integer seeds create a fresh PCG64 generator, so the same seed on
-        the same state always reproduces the same outcome.
+        Integer seeds (>= 0) create a fresh PCG64 generator, so the same
+        seed on the same state always reproduces the same outcome.
 
     Returns
     -------
@@ -132,7 +132,7 @@ def measure(state: AmplitudeVector, rng: RandomSource) -> tuple[int, AmplitudeVe
     total = norm(state)
     if abs(total - 1.0) > NORM_TOLERANCE:
         raise ValueError(f"cannot measure: norm {total} differs from 1 by more than {NORM_TOLERANCE}")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(_as_int(rng, "rng", 0))
     # One float64 array holds |amps|**2 and then, in place, its running sums.
     edges = np.square(state.amps.real)
     edges += np.square(state.amps.imag)

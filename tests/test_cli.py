@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 import stat
 import tracemalloc
 
@@ -170,6 +172,23 @@ def test_interrupted_trace_write_keeps_the_earlier_file(tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_failed_trace_rename_exits_2_before_the_report(tmp_path, monkeypatch, capsys):
+    import groversim.cli
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), dst)
+
+    monkeypatch.setattr(groversim.cli.os, "replace", refuse)
+    path = tmp_path / "trace.json"
+    path.write_bytes(b"earlier trace")
+    assert main(["grover", "run", "--qubits", "2", "--marked", "2", "--trace", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write trace document {str(path)!r}: {os.strerror(errno.EACCES)}\n"
+    assert path.read_bytes() == b"earlier trace"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_run_trace_snapshot_off_the_unit_norm_exits_2_and_keeps_the_earlier_file(
         tmp_path, monkeypatch, capsys):
     import groversim.grover
@@ -199,6 +218,15 @@ def test_run_degenerate_marking_warns(capsys):
     assert "degenerate" in captured.err
 
 
+def test_run_with_every_state_marked_runs_no_iteration(capsys):
+    assert main(["grover", "run", "--qubits", "2", "--marked", "0,1,2,3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "iterations: 0\noutcome: 2\nsuccess_probability: 0.9999999999999996\noracle_evals: 0\n"
+    )
+    assert "degenerate" in captured.err
+
+
 def test_run_marked_out_of_range_exits_2(capsys):
     assert main(["grover", "run", "--qubits", "1", "--marked", "2"]) == 2
     captured = capsys.readouterr()
@@ -218,10 +246,18 @@ def test_run_bad_iterations_flag_exits_2(capsys):
     ["classical", "--size", "4", "--iterations", "1"],
 ])
 def test_negative_seed_flag_exits_2(command, capsys):
+    # The library's integer gate is the only seed rule.
+    assert main([*command, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed: must be >= 0, got -1\n"
+
+
+def test_non_integer_seed_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
-        main([*command, "--seed", "-1"])
+        main(["grover", "run", "--qubits", "2", "--marked", "2", "--seed", "abc"])
     assert info.value.code == 2
-    assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_run_bad_marked_flag_exits_2(capsys):
@@ -258,6 +294,23 @@ def test_trace_volume_cap_exits_3(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == [trace_path]
     assert main(argv[:-2]) == 0
     capsys.readouterr()
+
+
+def test_trace_cap_counts_label_text(tmp_path, monkeypatch, capsys):
+    # 32765 snapshots of 2 amplitudes fit 2**16, but the rule also counts
+    # 32765 // 1000 = 32 label characters each: one "m" per thousand.
+    monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "16")
+    path = tmp_path / "trace.json"
+    argv = ["grover", "run", "--qubits", "1", "--marked", "0", "--trace", str(path)]
+    assert main([*argv, "--iterations", "8191"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "32765 snapshots" in captured.err
+    assert list(tmp_path.iterdir()) == []
+    # Below a thousand snapshots the rule counts amplitudes alone.
+    assert main([*argv, "--iterations", "249"]) == 0
+    capsys.readouterr()
+    assert len(parse_trace_document(path.read_text(encoding="utf-8")).steps) == 997
 
 
 @pytest.mark.parametrize("command", ["run", "scan"])
@@ -476,3 +529,54 @@ def test_circuit_bad_document_exits_2(tmp_path, capsys):
     )
     assert main(["circuit", "verify", str(path)]) == 2
     assert "gates[0]" in capsys.readouterr().err
+
+
+# --help of the search and baseline commands, at 80 columns.
+HELP_GOLDENS = {
+    ("grover", "run"): (
+        "usage: groversim grover run [-h] --qubits N --marked R[,R...] [--iterations T]\n"
+        "                            [--seed S] [--trace PATH] [--format {text,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --qubits N            register width; the search space has 2**N states\n"
+        "  --marked R[,R...]     comma-separated marked basis indices\n"
+        "  --iterations T        iteration count or 'auto' for the optimum (default:\n"
+        "                        auto)\n"
+        "  --seed S              measurement seed (default: 0)\n"
+        "  --trace PATH          also write a step-by-step trace document to PATH\n"
+        "  --format {text,json}  stdout format (default: text)\n"
+    ),
+    ("grover", "scan"): (
+        "usage: groversim grover scan [-h] --qubits N --marked R[,R...]\n"
+        "                             --max-iterations T [--format {csv}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help          show this help message and exit\n"
+        "  --qubits N          register width; the search space has 2**N states\n"
+        "  --marked R[,R...]   comma-separated marked basis indices\n"
+        "  --max-iterations T  scan t = 0..T (T >= 1)\n"
+        "  --format {csv}      output format (default: csv)\n"
+    ),
+    ("classical",): (
+        "usage: groversim classical [-h] --size N [--marked R[,R...]] --iterations K\n"
+        "                           [--trials M] [--seed S]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help         show this help message and exit\n"
+        "  --size N           number of states searched\n"
+        "  --marked R[,R...]  comma-separated marked indices (default: 0)\n"
+        "  --iterations K     uniform draws per trial\n"
+        "  --trials M         Monte Carlo trials (default: 100000)\n"
+        "  --seed S           sampling seed (default: 0)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_GOLDENS), ids=" ".join)
+def test_help_golden(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == HELP_GOLDENS[command]

@@ -252,6 +252,12 @@ def test_resolve_iterations_degenerate_flag():
     assert (count, degenerate) == (1, False)
 
 
+def test_resolve_iterations_with_every_state_marked():
+    # optimal_iterations takes 1..size-1 marked; with all marked, no iteration helps.
+    everything = Oracle(2, marked={0, 1, 2, 3})
+    assert resolve_iterations(GroverConfig(2, everything, iterations="auto")) == (0, True)
+
+
 def test_resolve_iterations_auto_needs_marked_states():
     empty = Oracle(2, marked=frozenset())
     with pytest.raises(ValueError, match="marks no states"):

@@ -25,6 +25,7 @@ from groversim import (
     enumerate_paths,
     grover_steps,
     index_to_bits,
+    measure,
     optimal_iterations,
     path_amplitude,
     probability,
@@ -58,6 +59,7 @@ ENTRY_POINTS = [
     ("n", lambda v: GroverConfig(v, Oracle(1, marked={1}))),
     ("iterations", lambda v: config(iterations=v)),
     ("seed", lambda v: config(seed=v)),
+    ("rng", lambda v: measure(uniform_state(1), v)),
     ("value", lambda v: roman_numeral(v)),
     ("size", lambda v: optimal_iterations(v, 1)),
     ("marked_count", lambda v: optimal_iterations(16, v)),
@@ -115,6 +117,7 @@ def test_every_integer_argument_refuses_bools_and_floats(name, call, value):
         (lambda: wh_sign(-1, 0), "q: must be >= 0, got -1"),
         (lambda: wh_sign(0, -1), "r: must be >= 0, got -1"),
         (lambda: config(seed=-1), "seed: must be >= 0, got -1"),
+        (lambda: measure(uniform_state(1), -1), "rng: must be >= 0, got -1"),
         (lambda: roman_numeral(0), "value: must be >= 1, got 0"),
         (lambda: optimal_iterations(1, 1), "size: must be >= 2, got 1"),
         (lambda: optimal_iterations(16, 16), "marked_count: must be >= 1 and <= 15, got 16"),
