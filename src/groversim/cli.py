@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -251,9 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() reuses, built on its first call. It holds only
+    flag declarations and handlers; the cap, the library functions and the
+    help width are all looked up per call."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ResourceLimitError as exc:

@@ -277,7 +277,8 @@ def classical_baseline(
     replacement) and succeeds if any of them is marked. The analytic value
     is 1 - (1 - |marked|/size)**iterations. A size-entry lookup table finds
     the hits, so a size above 2**max_qubits raises ResourceLimitError
-    before anything is allocated.
+    before anything is allocated; so do more than 2**(max_qubits + 4)
+    draws in all (iterations * trials), before any is drawn.
     """
     _as_int(size, "size", 1)
     _as_int(iterations, "iterations", 0)
@@ -285,6 +286,11 @@ def classical_baseline(
     _as_int(seed, "seed", 0)
     if size > 1 << max_qubits:
         raise ResourceLimitError(f"size {size} exceeds 2**{max_qubits}, the {max_qubits}-qubit cap")
+    if iterations * trials > 1 << (max_qubits + 4):
+        raise ResourceLimitError(
+            f"{iterations} * {trials} draws exceed 2**{max_qubits + 4}, "
+            f"the draw cap of the {max_qubits}-qubit cap"
+        )
     idx = _index_set(size, marked, "marked index")
     analytic = 1.0 - (1.0 - idx.size / size) ** iterations
     if iterations == 0 or not idx.size:

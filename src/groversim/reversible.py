@@ -85,18 +85,24 @@ def apply_gate(bits: Sequence[int], gate: Gate) -> list[int]:
     top = max((gate.target, *gate.controls))
     if top >= len(out):
         raise ValueError(f"gate touches wire {top}, but the input has {len(out)} bits")
-    if all(out[c] for c in gate.controls):
-        out[gate.target] ^= 1
+    _flip(out, gate)
     return out
 
 
+def _flip(bits: list[int], gate: Gate) -> None:
+    """apply_gate in place on bits already checked, wide enough for gate."""
+    if all(bits[c] for c in gate.controls):
+        bits[gate.target] ^= 1
+
+
 def run_circuit(circuit: ReversibleCircuit, bits: Sequence[int]) -> list[int]:
-    """Run every gate in order on an input of matching width."""
+    """Run every gate in order on an input of matching width; the input is
+    checked once, and the circuit already keeps its gates on its wires."""
     if len(bits) != circuit.wires:
         raise ValueError(f"input has {len(bits)} bits, circuit has {circuit.wires} wires")
     out = _as_bits(bits)
     for gate in circuit.gates:
-        out = apply_gate(out, gate)
+        _flip(out, gate)
     return out
 
 

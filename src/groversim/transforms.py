@@ -6,9 +6,10 @@ implementations are kept deliberately independent: a naive O(4**n)
 matrix-vector product used as a reference, and the O(n * 2**n) butterfly
 used everywhere else. The naive transform builds its N x N matrix on each
 call, about 9 bytes per entry at peak, and keeps nothing between calls. The
-butterfly is a ping-pong between two buffers of 2**n amplitudes; the search
-engine owns such a pair for a whole run and hands it in, and other callers
-get the transform of a copy.
+butterfly is a ping-pong between two buffers of 2**n amplitudes, blocked so
+that the passes for the low 16 bits run on one cache-sized block at a time;
+the search engine owns such a pair for a whole run and hands it in, and
+other callers get the transform of a copy.
 
 Both phase inversions negate at basis indices (the oracle's cached marked
 indices, or index 0) through one kernel in state.py, with no 2**n mask;
@@ -64,6 +65,23 @@ def walsh_hadamard_naive(state: AmplitudeVector) -> AmplitudeVector:
     return AmplitudeVector(state.n, out)
 
 
+# The butterfly's low-bit passes run one block of 2**_BLOCK_BITS amplitudes
+# at a time: 1 MiB of complex128 per buffer, small enough to stay in cache.
+_BLOCK_BITS = 16
+
+
+def _ping_pong(a: np.ndarray, b: np.ndarray, passes: int, scale: float) -> None:
+    """Run passes over bits 0..passes-1 of one block, from a into b and back;
+    the result is in a if passes is even, else in b."""
+    half = a.size >> 1
+    for _ in range(passes):
+        lo, hi = a[0::2], a[1::2]
+        np.add(lo, hi, out=b[:half])
+        np.subtract(lo, hi, out=b[half:])
+        b *= scale
+        a, b = b, a
+
+
 def walsh_hadamard_fast(
     state: AmplitudeVector, *, spare: AmplitudeVector | None = None
 ) -> AmplitudeVector:
@@ -72,11 +90,18 @@ def walsh_hadamard_fast(
     Pass k pairs every two indices differing in bit k and maps (x, y) to
     ((x + y)/sqrt(2), (x - y)/sqrt(2)), so the overall 1/sqrt(N) scale
     arrives one factor per pass. Matches walsh_hadamard_naive to roundoff.
-    Each pass reads the even and odd entries of one buffer, which differ in
-    the lowest bit of the index, and writes the sums to the low half and the
-    differences to the high half of the other; that moves the bit to the
-    top, so the n-th pass puts every bit back in place. The 1-D views need
-    no temporaries.
+
+    The passes are cache-blocked. Bits 0..m-1, with m = min(n, 16), are
+    done one block of 2**m amplitudes at a time: each pass reads the even
+    and odd entries of the block in one buffer, which differ in the lowest
+    bit of the index, and writes the sums to the low half and the
+    differences to the high half of the block in the other; that moves the
+    bit to the top, so the m-th pass puts every bit back in place. Bits
+    m..n-1 then take one pass each over the whole vector, through
+    (2**(n-k-1), 2, 2**k) views of the two buffers. For n <= 16 that is one
+    block. Every pass uses the same operations on the same operands in the
+    same bit order at any n, so the bytes do not depend on the blocking.
+    The views need no temporaries.
 
     Without spare, the input is left untouched and the result is new. With
     spare, a separate vector of the same size whose amplitudes are free, the
@@ -88,12 +113,17 @@ def walsh_hadamard_fast(
     elif spare.n != state.n or np.may_share_memory(spare.amps, state.amps):
         raise ValueError("spare must be a separate vector of the same size as the state")
     a, b = state.amps, spare.amps
-    half = a.size >> 1
     scale = 1.0 / math.sqrt(2.0)
-    for _ in range(state.n):
-        lo, hi = a[0::2], a[1::2]
-        np.add(lo, hi, out=b[:half])
-        np.subtract(lo, hi, out=b[half:])
+    m = min(state.n, _BLOCK_BITS)
+    block = 1 << m
+    for start in range(0, a.size, block):
+        _ping_pong(a[start:start + block], b[start:start + block], m, scale)
+    if m & 1:
+        a, b = b, a
+    for k in range(m, state.n):
+        x, y = a.reshape(-1, 2, 1 << k), b.reshape(-1, 2, 1 << k)
+        np.add(x[:, 0], x[:, 1], out=y[:, 0])
+        np.subtract(x[:, 0], x[:, 1], out=y[:, 1])
         b *= scale
         a, b = b, a
     return state if a is state.amps else spare

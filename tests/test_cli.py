@@ -412,6 +412,16 @@ def test_classical_size_cap_exits_3(monkeypatch, capsys):
     assert main(argv) == 0
 
 
+def test_classical_draw_cap_exits_3(monkeypatch, capsys):
+    # 64 * 100000 draws exceed 2**(4 + 4) at a 4-qubit cap.
+    monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "4")
+    argv = ["classical", "--size", "16", "--iterations", "64", "--trials", "100000"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 64 * 100000 draws exceed 2**8, the draw cap of the 4-qubit cap\n"
+
+
 def test_circuit_verify(tmp_path, capsys):
     assert main(["circuit", "verify", write_adder(tmp_path)]) == 0
     assert capsys.readouterr().out == "reversible: true\n"
@@ -580,3 +590,81 @@ def test_help_golden(command, monkeypatch, capsys):
         main([*command, "--help"])
     assert info.value.code == 0
     assert capsys.readouterr().out == HELP_GOLDENS[command]
+
+
+# main() builds one parser per process and reuses it; nothing else carries over.
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    import groversim.cli
+
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    real = groversim.cli.build_parser
+    monkeypatch.setattr(groversim.cli, "build_parser", counting)
+    groversim.cli._parser.cache_clear()
+    for _ in range(3):
+        assert main(["grover", "run", "--qubits", "2", "--marked", "2"]) == 0
+        assert capsys.readouterr().out == RUN_GOLDEN
+    assert len(builds) == 1
+
+
+def test_build_parser_returns_a_new_parser():
+    from groversim.cli import build_parser
+
+    assert build_parser() is not build_parser()
+
+
+def test_reused_parser_keeps_no_format(capsys):
+    argv = ["grover", "run", "--qubits", "2", "--marked", "2"]
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == 2
+    assert main(argv) == 0
+    assert capsys.readouterr().out == RUN_GOLDEN
+
+
+def test_reused_parser_after_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["grover", "run", "--qubits", "x", "--marked", "2"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert main(["grover", "run", "--qubits", "2", "--marked", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == RUN_GOLDEN
+    assert captured.err == ""
+
+
+def test_reused_parser_reads_the_cap_on_each_call(monkeypatch, capsys):
+    monkeypatch.delenv("GROVERSIM_MAX_QUBITS", raising=False)
+    argv = ["grover", "run", "--qubits", "4", "--marked", "1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "3")
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_reused_parser_gives_the_same_help(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["grover", "run", "--help"])
+        assert info.value.code == 0
+        helps.append(capsys.readouterr().out.encode("utf-8"))
+    assert helps[0] == helps[1] == HELP_GOLDENS[("grover", "run")].encode("utf-8")
+
+
+def test_reused_parser_keeps_no_output_path(tmp_path, capsys):
+    adder = write_adder(tmp_path)
+    out_path = tmp_path / "inverse.json"
+    assert main(["circuit", "invert", adder, "--output", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    written = out_path.read_text(encoding="utf-8")
+    assert main(["circuit", "invert", adder]) == 0
+    assert capsys.readouterr().out == written
+    assert out_path.read_text(encoding="utf-8") == written

@@ -480,6 +480,14 @@ def test_classical_baseline_caps_size_before_allocating():
     assert classical_baseline(8, {0}, 1, 1, max_qubits=3).analytic == 0.125
 
 
+def test_classical_baseline_caps_draws():
+    # iterations * trials above 2**(max_qubits + 4) is refused before any
+    # draw; 2**(3 + 4) = 128 draws is the most at a 3-qubit cap.
+    with pytest.raises(ResourceLimitError, match=r"^128 \* 2 draws exceed 2\*\*7, the draw cap of the 3-qubit cap$"):
+        classical_baseline(8, {0}, 128, 2, max_qubits=3)
+    assert classical_baseline(8, {0}, 128, 1, max_qubits=3).empirical == 1.0
+
+
 def test_classical_baseline_draws_a_long_trial_in_pieces():
     # One row of 2**24 draws would take 144 MiB (8 bytes a draw, 1 for its hit).
     tracemalloc.start()

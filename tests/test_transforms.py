@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groversim.transforms
 from groversim import (
     AmplitudeVector,
     Oracle,
@@ -170,17 +172,15 @@ def reshape_butterfly(amps: np.ndarray) -> np.ndarray:
 
 
 @st.composite
-def signed_zero_states(draw):
+def signed_zero_states(draw, min_n=1):
     """Unnormalized states for n <= 7 whose parts are often +0.0 or -0.0."""
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(min_n, 7))
     part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
     parts = draw(st.lists(part, min_size=2 << n, max_size=2 << n))
     return AmplitudeVector(n, np.array(parts).view(np.complex128))
 
 
-@settings(deadline=None, max_examples=200)
-@given(signed_zero_states(), st.data())
-def test_fast_transform_and_iteration_match_the_reshape_butterfly_bit_for_bit(state, data):
+def check_against_the_reshape_butterfly(state, data):
     before = state.amps.tobytes()
     assert walsh_hadamard_fast(state).amps.tobytes() == reshape_butterfly(state.amps).tobytes()
     marked = data.draw(st.frozensets(st.integers(0, state.size - 1)))
@@ -192,6 +192,38 @@ def test_fast_transform_and_iteration_match_the_reshape_butterfly_bit_for_bit(st
     want = reshape_butterfly(want)
     assert grover_iteration(state, Oracle(state.n, marked=marked)).amps.tobytes() == want.tobytes()
     assert state.amps.tobytes() == before
+
+
+@settings(deadline=None, max_examples=200)
+@given(signed_zero_states(), st.data())
+def test_fast_transform_and_iteration_match_the_reshape_butterfly_bit_for_bit(state, data):
+    check_against_the_reshape_butterfly(state, data)
+
+
+@settings(deadline=None, max_examples=100)
+@given(signed_zero_states(min_n=4), st.data())
+def test_blocked_passes_match_the_reshape_butterfly_bit_for_bit(state, data):
+    # Blocks of 4 and 8 amplitudes: every draw crosses blocks, with an even
+    # and an odd count of in-block passes.
+    for bits in (2, 3):
+        with mock.patch.object(groversim.transforms, "_BLOCK_BITS", bits):
+            check_against_the_reshape_butterfly(state, data)
+
+
+def test_fast_transform_past_one_block_matches_the_reshape_butterfly():
+    n = 17
+    rng = np.random.default_rng(17)
+    parts = rng.normal(size=2 << n)
+    parts[rng.integers(0, parts.size, size=parts.size // 4)] = 0.0
+    parts[rng.integers(0, parts.size, size=parts.size // 4)] = -0.0
+    state = AmplitudeVector(n, parts.view(np.complex128))
+    assert n > groversim.transforms._BLOCK_BITS
+    want = reshape_butterfly(state.amps).tobytes()
+    assert walsh_hadamard_fast(state).amps.tobytes() == want
+    spare = AmplitudeVector(n, np.empty_like(state.amps))
+    got = walsh_hadamard_fast(state, spare=spare)
+    assert got is spare
+    assert got.amps.tobytes() == want
 
 
 @settings(deadline=None, max_examples=100)
