@@ -284,6 +284,7 @@ def classical_baseline(
     _as_int(iterations, "iterations", 0)
     _as_int(trials, "trials", 1)
     _as_int(seed, "seed", 0)
+    _as_int(max_qubits, "max_qubits", 1)
     if size > 1 << max_qubits:
         raise ResourceLimitError(f"size {size} exceeds 2**{max_qubits}, the {max_qubits}-qubit cap")
     if iterations * trials > 1 << (max_qubits + 4):

@@ -3,6 +3,13 @@ exhaustive bijection checking, and lifting circuits to index permutations.
 
 Bit-vectors use the same convention as basis indices: wire i is bit i of
 the packed index, so wire 0 is the least significant bit.
+
+Two routes run a circuit: run_circuit takes one input at a time, and
+circuit_to_permutation lifts the whole circuit bit-sliced (Biham, FSE
+1997). The lift packs each wire into a plane of one bit per input, moving
+between the index table's little-endian bytes and the planes with an 8x8
+bit-matrix transpose, and runs every gate as one or two uint8 operations
+on whole planes.
 """
 from __future__ import annotations
 
@@ -155,19 +162,79 @@ def check_bijection(table: Sequence[Sequence[int]]) -> bool:
     return _is_permutation(values)
 
 
+# The three delta swaps of an 8x8 bit-matrix transpose held in one uint64,
+# row k in byte k (Warren, Hacker's Delight, section 7-3); as numpy scalars,
+# so no Python int is converted on each call.
+_TRANSPOSE8 = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
+
+
+def _transpose8(words: np.ndarray) -> None:
+    """Transpose the 8x8 bit matrix in each uint64 of words, in place."""
+    t = np.empty_like(words)
+    for shift, mask in _TRANSPOSE8:
+        np.right_shift(words, shift, out=t)
+        t ^= words
+        t &= mask
+        words ^= t
+        t <<= shift
+        words ^= t
+
+
+def _run_on_planes(planes: np.ndarray, gates: Sequence[Gate]) -> None:
+    """Run the gates in place on packed wire planes, planes[i] for wire i.
+
+    A function of its own so that no plane view outlives the gates, and the
+    lift can free the planes before it transposes them back."""
+    for gate in gates:
+        target = planes[gate.target]
+        if gate.kind == "NOT":
+            np.invert(target, out=target)
+        elif gate.kind == "CNOT":
+            target ^= planes[gate.controls[0]]
+        else:
+            target ^= planes[gate.controls[0]] & planes[gate.controls[1]]
+
+
 def circuit_to_permutation(
     circuit: ReversibleCircuit, max_wires: int = DEFAULT_MAX_QUBITS
 ) -> np.ndarray:
     """Permutation p over basis indices with p[x] = circuit output on x.
 
+    The lift is bit-sliced: it runs the gates on all 2**w inputs at once as
+    boolean operations on packed wire planes, 8 inputs to a byte. The
+    identity table (padded to 8 entries below 3 wires) is read as its
+    explicit little-endian bytes, so a big-endian host builds the same
+    table. Byte g of every 8 consecutive entries forms one uint64; an 8x8
+    bit transpose of it gives one byte of each of the planes of wires
+    8g..8g+7. A NOT inverts a plane, a CNOT xors one into another and a
+    Toffoli xors in the AND of two; the transpose then writes the planes
+    back. The lift allocates 8 bytes per input for the table and 2 more
+    per group of 8 wires (the planes and one transpose temporary).
+
     Every gate flips its target under a condition that does not read the
     target, so the table is a bijection by construction and is not
     recounted here; `circuit verify` and apply_permutation check it.
     """
-    if circuit.wires > max_wires:
-        raise ResourceLimitError(f"circuit has {circuit.wires} wires; cap is {max_wires}")
-    values = np.arange(1 << circuit.wires, dtype=np.int64)
-    for gate in circuit.gates:
-        mask = sum(1 << c for c in gate.controls)
-        values ^= ((values & mask) == mask) * (1 << gate.target)
-    return values
+    cap = _as_int(max_wires, "max_wires", 1)
+    if circuit.wires > cap:
+        raise ResourceLimitError(f"circuit has {circuit.wires} wires; cap is {cap}")
+    size = 1 << circuit.wires
+    groups = -(-circuit.wires // 8)
+    values = np.arange(max(size, 8), dtype="<i8")
+    table = values.view("<u1").reshape(-1, 8)  # row x: the bytes of x, low byte first
+    cols = np.ascontiguousarray(table[:, :groups].T)
+    _transpose8(cols.view("<u8"))
+    # planes[8g + b] is wire 8g + b: bit k of its byte j is that wire's bit of input 8j + k.
+    planes = np.ascontiguousarray(cols.reshape(groups, -1, 8).transpose(0, 2, 1))
+    del cols
+    _run_on_planes(planes.reshape(8 * groups, -1), circuit.gates)
+    cols = np.ascontiguousarray(planes.transpose(0, 2, 1))
+    del planes
+    _transpose8(cols.view("<u8"))
+    # One column at a time: a single strided write of all of them is far slower.
+    for g in range(groups):
+        table[:, g] = cols[g].reshape(-1)
+    return values[:size].astype(np.int64, copy=False)

@@ -53,8 +53,9 @@ def _as_int(value: Any, where: str, minimum: int | None = None, maximum: int | N
 
 
 def _require_qubits(n: int, max_qubits: int) -> None:
-    """n >= 1; above the cap, however large, a ResourceLimitError."""
-    if _as_int(n, "n", 1) > max_qubits:
+    """n >= 1 and the cap an integer >= 1; above the cap, however large, a
+    ResourceLimitError."""
+    if _as_int(n, "n", 1) > _as_int(max_qubits, "max_qubits", 1):
         raise ResourceLimitError(f"n={n} exceeds the {max_qubits}-qubit cap")
 
 

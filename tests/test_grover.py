@@ -480,6 +480,11 @@ def test_classical_baseline_caps_size_before_allocating():
     assert classical_baseline(8, {0}, 1, 1, max_qubits=3).analytic == 0.125
 
 
+def test_classical_baseline_rejects_a_missing_cap():
+    with pytest.raises(ValueError, match="max_qubits: expected an integer, got None"):
+        classical_baseline(4, {1}, 2, 10, max_qubits=None)
+
+
 def test_classical_baseline_caps_draws():
     # iterations * trials above 2**(max_qubits + 4) is refused before any
     # draw; 2**(3 + 4) = 128 draws is the most at a 3-qubit cap.

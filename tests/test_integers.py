@@ -21,6 +21,7 @@ from groversim import (
     apply_phase_flip,
     basis_state,
     bits_to_index,
+    circuit_to_permutation,
     classical_baseline,
     enumerate_paths,
     grover_steps,
@@ -91,6 +92,11 @@ ENTRY_POINTS = [
 NAMED_ENTRY_POINTS = {
     "wh_sign-q": ("q", lambda v: wh_sign(v, 0)),
     "wh_sign-r": ("r", lambda v: wh_sign(0, v)),
+    "basis_state-max_qubits": ("max_qubits", lambda v: basis_state(2, 0, max_qubits=v)),
+    "uniform_state-max_qubits": ("max_qubits", lambda v: uniform_state(2, max_qubits=v)),
+    "GroverConfig-max_qubits": ("max_qubits", lambda v: config(max_qubits=v)),
+    "classical_baseline-max_qubits": ("max_qubits", lambda v: classical_baseline(4, {0}, 1, 1, max_qubits=v)),
+    "circuit_to_permutation-max_wires": ("max_wires", lambda v: circuit_to_permutation(adder_circuit(), v)),
 }
 NOT_INTEGERS = [True, False, 1.0, 2.5, np.float64(1.0)]
 
@@ -117,6 +123,8 @@ def test_every_integer_argument_refuses_bools_and_floats(name, call, value):
         (lambda: wh_sign(-1, 0), "q: must be >= 0, got -1"),
         (lambda: wh_sign(0, -1), "r: must be >= 0, got -1"),
         (lambda: config(seed=-1), "seed: must be >= 0, got -1"),
+        (lambda: config(max_qubits=0), "max_qubits: must be >= 1, got 0"),
+        (lambda: circuit_to_permutation(adder_circuit(), 0), "max_wires: must be >= 1, got 0"),
         (lambda: measure(uniform_state(1), -1), "rng: must be >= 0, got -1"),
         (lambda: roman_numeral(0), "value: must be >= 1, got 0"),
         (lambda: optimal_iterations(1, 1), "size: must be >= 2, got 1"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from groversim import (
     run_circuit,
     uniform_state,
 )
+from groversim.state import _is_permutation
 
 # Lift of the adder to index space, worked by hand over all eight inputs.
 ADDER_PERMUTATION = [0, 3, 2, 5, 4, 7, 6, 1]
@@ -190,6 +193,68 @@ def test_circuit_to_permutation_respects_cap():
     small = ReversibleCircuit(4, (Gate.not_(0),))
     with pytest.raises(ResourceLimitError):
         circuit_to_permutation(small, max_wires=3)
+
+
+def test_circuit_to_permutation_rejects_a_non_integer_cap():
+    with pytest.raises(ValueError, match="max_wires: expected an integer, got '24'"):
+        circuit_to_permutation(adder_circuit(), max_wires="24")
+
+
+def by_run_circuit(circuit, inputs):
+    """The lift's table at `inputs`, input by input through run_circuit."""
+    return [bits_to_index(run_circuit(circuit, index_to_bits(int(x), circuit.wires))) for x in inputs]
+
+
+def test_lift_equals_run_circuit_on_every_input_up_to_twelve_wires():
+    # Below 3 wires the table is padded to 8 entries; 9..12 wires span two byte groups.
+    rng = np.random.default_rng(35)
+    for wires in range(1, 13):
+        circuit = random_circuit(rng, wires, 2 * wires)
+        assert circuit_to_permutation(circuit).tolist() == by_run_circuit(circuit, range(1 << wires))
+
+
+@pytest.mark.parametrize("wires", [16, 17, 20])
+def test_wide_lift_equals_run_circuit_on_sampled_inputs(wires):
+    rng = np.random.default_rng(wires)
+    circuit = random_circuit(rng, wires, 2 * wires)
+    perm = circuit_to_permutation(circuit)
+    inputs = rng.integers(0, 1 << wires, size=256)
+    assert perm[inputs].tolist() == by_run_circuit(circuit, inputs)
+    assert _is_permutation(perm)
+
+
+def test_one_not_flips_exactly_its_wire():
+    # A wrong bit or byte order in the transpose would move the flipped bit.
+    identity = np.arange(1 << 20, dtype=np.int64)
+    for target in range(20):
+        perm = circuit_to_permutation(ReversibleCircuit(20, (Gate.not_(target),)))
+        assert np.array_equal(perm, identity ^ (1 << target))
+    for wires in range(1, 9):
+        for target in range(wires):
+            perm = circuit_to_permutation(ReversibleCircuit(wires, (Gate.not_(target),)))
+            assert np.array_equal(perm, identity[: 1 << wires] ^ (1 << target))
+
+
+@pytest.mark.parametrize("wires", [1, 2, 3, 8, 9, 16, 17])
+def test_empty_circuit_lifts_to_the_identity(wires):
+    perm = circuit_to_permutation(ReversibleCircuit(wires, ()))
+    assert perm.dtype == np.int64
+    assert perm.shape == (1 << wires,)
+    assert perm.flags.c_contiguous
+    assert np.array_equal(perm, np.arange(1 << wires))
+
+
+def test_lift_memory_stays_under_sixteen_bytes_an_input():
+    # The table is 8 bytes an input; the packed planes and their transposes
+    # add about 6 more at 18 wires.
+    circuit = random_circuit(np.random.default_rng(36), 18, 36)
+    tracemalloc.start()
+    try:
+        circuit_to_permutation(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 18
 
 
 def test_lifted_permutation_drives_state_vectors():

@@ -51,6 +51,11 @@ def test_basis_state_rejects_bad_qubit_counts():
     assert basis_state(5, 0, max_qubits=5).n == 5
 
 
+def test_basis_state_rejects_a_non_integer_cap():
+    with pytest.raises(ValueError, match="max_qubits: expected an integer, got 'x'"):
+        basis_state(2, 0, max_qubits="x")
+
+
 def test_uniform_state_two_qubits_is_exactly_half():
     v = uniform_state(2)
     assert np.all(v.amps == 0.5)
