@@ -4,23 +4,30 @@ Both formats carry format_version "1". The constructors (TraceDocument;
 Gate and ReversibleCircuit) check every rule of a document, the parsers
 check JSON types and name the offending field, and the renderers only
 format. Floats take 17 significant digits, so a write-read cycle keeps
-every double, and the layout is fixed, so equal documents are byte-identical.
-A trace is written to a text file one snapshot at a time, through one
-writer that a TraceDocument and a traced run (grover.run_grover) share,
-each snapshot checked by one rule; rendering is that writer into a string.
-A snapshot formats each distinct amplitude once, by bit pattern. The parser's object hook decides each amplitude list
-once, as soon as JSON closes its step: after one bulk type check of its
-[re, im] pairs it becomes a complex128 vector or the text of its fault, so
-the parser never holds the list tree of more than one snapshot; neither
-changes a byte of what is written or read.
+every double, and the layout is fixed, so equal documents are
+byte-identical.
+
+A trace is written one snapshot line at a time, through one writer that a
+TraceDocument and a traced run (grover.run_grover) share, each snapshot
+checked by one rule; rendering is that writer into a string. A snapshot
+formats each distinct amplitude once, by bit pattern.
+
+A trace is read by one of two routes that give the same document or the
+same error. Text in the writer's own layout is read directly: the head and
+the tail are accepted only if the writer re-renders them byte for byte,
+and each step line's distinct "[re,im]" texts are decoded once, by json,
+in one call. Any other text, and any text the direct reader declines, goes
+through json.loads, whose object hook packs each amplitude list as soon as
+its step closes; that route is the reference and words every error.
 """
 from __future__ import annotations
 
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Any, Callable, ClassVar, TextIO
 
 import numpy as np
@@ -75,9 +82,9 @@ class TraceDocument:
 
     Construction checks every rule of the format and names fields as the
     file does. The four integer fields must be int and not bool, so that
-    they render as JSON integers; n stops at 62 because indices are int64;
-    unit norm implies finite amplitudes, and the norm test is written so
-    that NaN fails too."""
+    they render as JSON integers, and the algorithm and labels must be
+    strings; n stops at 62 because indices are int64; unit norm implies
+    finite amplitudes, and the norm test is written so that NaN fails too."""
 
     format_version: ClassVar[str] = TRACE_FORMAT_VERSION
     n: int
@@ -92,8 +99,15 @@ class TraceDocument:
         _as_int(self.seed, "seed")
         _as_int(self.outcome, "outcome", 0, size - 1)
         _as_int(self.oracle_evals, "oracle_evals", 0)
-        self.steps = [(str(label), _snapshot(i, amps, size))
+        _require_str(self.algorithm, "rng.algorithm")
+        self.steps = [(_require_str(label, f"steps[{i}].label"), _snapshot(i, amps, size))
                       for i, (label, amps) in enumerate(self.steps)]
+
+
+def _require_str(value: Any, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name}: expected a string, got {value!r}")
+    return value
 
 
 def _snapshot(i: int, amps: Any, size: int) -> np.ndarray:
@@ -135,6 +149,12 @@ def write_trace_document(doc: TraceDocument, fp: TextIO) -> None:
     for i, (label, amps) in enumerate(doc.steps):
         _write_step(fp, i, label, amps)
     _write_tail(fp, len(doc.steps), doc.outcome, doc.oracle_evals)
+
+
+def _rendered(write: Callable[..., None], *args: Any) -> str:
+    out = io.StringIO()
+    write(out, *args)
+    return out.getvalue()
 
 
 def render_trace_document(doc: TraceDocument) -> str:
@@ -191,6 +211,62 @@ def _pack_steps(obj: dict) -> dict:
 
 
 def parse_trace_document(text: str) -> TraceDocument:
+    """The document in text: read directly if text is in the writer's own
+    layout, else through json.loads, which words every error."""
+    doc = _read_written_trace(text) if type(text) is str else None
+    return doc if doc is not None else _parse_trace_json(text)
+
+
+# The writer's layout. The head and tail patterns only find the values;
+# the reader accepts them only if the writer re-renders them byte for byte.
+# Every step line but the first starts with the "," that ends the last one.
+_HEAD = re.compile(r'\{\n  "format_version": "[^"\n]*",\n  "n": (-?[0-9]+),\n  "rng": '
+                   r'\{"algorithm": ("(?:[^"\\\n]|\\.)*"), "seed": (-?[0-9]+)\},\n  "steps": \[')
+_STEP = re.compile(r'(,?)\n    \{"label": ("(?:[^"\\\n]|\\.)*"), "amplitudes": \[\[')
+_TAIL = re.compile(r'(?:\n  )?\],\n  "outcome": (-?[0-9]+),\n  "oracle_evals": (-?[0-9]+)\n\}\n')
+
+
+def _read_written_trace(text: str) -> TraceDocument | None:
+    """The document in text if every part of it is in the writer's layout,
+    else None. The head and tail must re-render byte for byte. A step line's
+    pair texts are split on "],[" and each distinct one is decoded once, in
+    one json call; if that call yields one [re, im] pair of numbers per
+    distinct text, no text held a bracket, so each is exactly one pair of
+    the JSON text and decodes as json.loads of the whole would decode it."""
+    try:
+        head = _HEAD.match(text)
+        if head is None:
+            return None
+        n, algorithm, seed = int(head[1]), json.loads(head[2]), int(head[3])
+        if _rendered(_write_head, n, seed, algorithm) != head[0]:
+            return None
+        pos, steps = head.end(), []
+        while (step := _STEP.match(text, pos)) and bool(step[1]) == bool(steps):
+            start = step.end()
+            end = text.find("]]}", start)
+            if end < 0:
+                return None
+            pairs = text[start:end].split("],[")
+            index = dict(zip(dict.fromkeys(pairs), count()))
+            distinct = _pack_amplitudes(
+                _load_json("[[" + "],[".join(index) + "]]", "trace document"))
+            if isinstance(distinct, str) or len(distinct) != len(index):
+                return None
+            gather = np.fromiter(map(index.__getitem__, pairs), np.intp, len(pairs))
+            steps.append((json.loads(step[2]), distinct[gather]))
+            pos = end + len("]]}")
+        tail = _TAIL.fullmatch(text, pos)
+        if tail is None:
+            return None
+        outcome, evals = int(tail[1]), int(tail[2])
+        if _rendered(_write_tail, len(steps), outcome, evals) != tail[0]:
+            return None
+        return TraceDocument(n, seed, steps, outcome, evals, algorithm)
+    except (ValueError, RecursionError):
+        return None
+
+
+def _parse_trace_json(text: str | bytes) -> TraceDocument:
     where = "trace document"
     raw = _load_json(text, where, _pack_steps)
     if not isinstance(raw, dict):

@@ -1,7 +1,11 @@
+import importlib.util
 import io
 import json
 import math
+import sys
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -24,8 +28,14 @@ from groversim import (
     render_trace_document,
     write_trace_document,
 )
+import groversim
 from groversim.cli import main
-from groversim.documents import _format_floats
+from groversim.documents import (
+    TRACE_NORM_TOLERANCE,
+    _format_floats,
+    _parse_trace_json,
+    _read_written_trace,
+)
 from tracing import traced
 
 ADDER_DOC = """{
@@ -165,12 +175,13 @@ INT_FIELDS = ("n", "seed", "outcome", "oracle_evals")
 def trace_document_fields(draw):
     """Constructor arguments for n <= 4: finite snapshots with signed zeros,
     each normalized or left as drawn, plus unicode labels and metadata. One
-    integer field in eight holds a bool, a float or a string instead."""
+    integer field, label or algorithm in eight holds a value of another
+    type instead (a string is a good label or algorithm)."""
 
     def maybe_bad(value):
         if draw(st.integers(0, 7)):
             return value
-        return draw(st.one_of(st.booleans(), st.floats(), st.text()))
+        return draw(st.one_of(st.booleans(), st.floats(), st.text(), st.none()))
 
     n = draw(st.integers(1, 4))
     size = 1 << n
@@ -181,12 +192,31 @@ def trace_document_fields(draw):
         if draw(st.booleans()):
             with np.errstate(all="ignore"):
                 amps = amps / np.linalg.norm(amps)
-        steps.append((draw(st.text()), amps))
+        steps.append((maybe_bad(draw(st.text())), amps))
     return dict(
         n=maybe_bad(n), seed=maybe_bad(draw(st.integers(min_value=0))), steps=steps,
         outcome=maybe_bad(draw(st.integers(0, size - 1))),
-        oracle_evals=maybe_bad(draw(st.integers(min_value=0))), algorithm=draw(st.text()),
+        oracle_evals=maybe_bad(draw(st.integers(min_value=0))),
+        algorithm=maybe_bad(draw(st.text())),
     )
+
+
+def first_fault(fields):
+    """The message of the first rule the constructor checks that fields
+    break, or None: the integer fields, the algorithm, then each step's
+    label and norm in turn."""
+    for name in INT_FIELDS:
+        if type(fields[name]) is not int:
+            return f"{name}: expected an integer, got {fields[name]!r}"
+    if not isinstance(fields["algorithm"], str):
+        return f"rng.algorithm: expected a string, got {fields['algorithm']!r}"
+    for i, (label, amps) in enumerate(fields["steps"]):
+        if not isinstance(label, str):
+            return f"steps[{i}].label: expected a string, got {label!r}"
+        drift = abs(float(np.linalg.norm(amps)) - 1.0)
+        if not drift <= TRACE_NORM_TOLERANCE:
+            return f"steps[{i}]: snapshot norm differs from 1 by {drift:g}"
+    return None
 
 
 # Huge drawn parts overflow the norm of a snapshot the constructor rejects.
@@ -194,28 +224,21 @@ def trace_document_fields(draw):
 @settings(deadline=None, max_examples=200)
 @given(trace_document_fields())
 def test_every_constructible_trace_document_round_trips(fields):
-    bad = [name for name in INT_FIELDS if type(fields[name]) is not int]
+    fault = first_fault(fields)
     try:
         doc = TraceDocument(**fields)
     except ValueError as exc:
-        if bad:
-            assert str(exc) == f"{bad[0]}: expected an integer, got {fields[bad[0]]!r}"
-        else:
-            assert "snapshot norm differs from 1" in str(exc)
+        assert str(exc) == fault
         return
-    assert not bad
+    assert fault is None
     text = render_trace_document(doc)
     written = io.StringIO()
     write_trace_document(doc, written)
     assert written.getvalue() == text
-    parsed = parse_trace_document(text)
+    parsed = _read_written_trace(text)
+    assert_same_document(parsed, _parse_trace_json(text))
+    assert_same_document(parse_trace_document(text), doc)
     assert render_trace_document(parsed) == text
-    assert (parsed.n, parsed.seed, parsed.outcome, parsed.oracle_evals, parsed.algorithm) == (
-        doc.n, doc.seed, doc.outcome, doc.oracle_evals, doc.algorithm
-    )
-    assert [label for label, _ in parsed.steps] == [label for label, _ in doc.steps]
-    for (_, got), (_, want) in zip(parsed.steps, doc.steps):
-        assert got.tobytes() == want.tobytes()
 
 
 def test_trace_document_validation():
@@ -233,6 +256,22 @@ def test_trace_document_validation():
         TraceDocument(n=63, seed=0, steps=[], outcome=0, oracle_evals=0)
     with pytest.raises(TypeError, match="format_version"):
         TraceDocument(n=1, seed=0, steps=[], outcome=0, oracle_evals=0, format_version="1")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(algorithm=5), "rng.algorithm: expected a string, got 5"),
+        (dict(algorithm=None), "rng.algorithm: expected a string, got None"),
+        (dict(steps=[("i", [1, 0]), (7, [1, 0])]), "steps[1].label: expected a string, got 7"),
+        (dict(steps=[(None, [1, 0])]), "steps[0].label: expected a string, got None"),
+    ],
+)
+def test_trace_document_refuses_what_its_parser_refuses(fields, message):
+    fields = dict(dict(n=1, seed=0, steps=[("i", [1, 0])], outcome=0, oracle_evals=0), **fields)
+    with pytest.raises(ValueError) as info:
+        TraceDocument(**fields)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("field", INT_FIELDS)
@@ -420,6 +459,128 @@ def test_parse_trace_takes_the_last_duplicate_amplitudes_key():
     assert str(info.value) == (
         "trace document: steps[0].amplitudes[1]: expected an [re, im] pair of numbers"
     )
+
+
+def parsed_or_error(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_routes_agree(text, direct):
+    """parse_trace_document gives what the json route gives, the same
+    document or the same error text; direct says whether the direct reader
+    takes the text rather than declining it."""
+    assert (type(text) is str and _read_written_trace(text) is not None) == direct
+    got = parsed_or_error(parse_trace_document, text)
+    want = parsed_or_error(_parse_trace_json, text)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_document(got, want)
+
+
+def load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_both_routes_read_a_trace_batch_alike(tmp_path):
+    workloads = load_bench_workloads()
+    lib = SimpleNamespace(cli=groversim.cli, documents=groversim.documents)
+    ops = workloads.trace_ops(lib, np.random.default_rng(301), workloads.FULL["trace"], tmp_path)
+    assert len(ops) == 26
+    for op in ops:
+        text = op.run()[2]
+        assert_same_document(_read_written_trace(text), _parse_trace_json(text))
+
+
+def with_pair(text, step, j, element):
+    """Writer text with element j of a step's amplitudes replaced by the
+    given JSON text, every other byte kept."""
+    lines = text.split("\n")
+    line = lines[5 + step]
+    start, end = line.index("[[") + 1, line.rindex("]]") + 1
+    elements = ["[" + pair + "]" for pair in line[start + 1:end - 1].split("],[")]
+    elements[j] = element
+    lines[5 + step] = line[:start] + ",".join(elements) + line[end:]
+    return "\n".join(lines)
+
+
+def long_text():
+    amps = np.full(1024, 1 / 32, dtype=np.complex128)
+    return render_trace_document(TraceDocument(10, 0, [("i", amps), ("ii", amps)], 0, 0))
+
+
+def basis_text():
+    steps = [("i", [1, 0, 0, 0]), ("ii", [0, 0, -1, 0])]
+    return render_trace_document(TraceDocument(2, 0, steps, 0, 0))
+
+
+LABEL = 'é"\\\n\u2028\U0001F600'
+
+
+def labelled_text(ensure_ascii=True, algorithm_ascii=True):
+    text = render_trace_document(TraceDocument(1, 0, [(LABEL, [1, 0])], 0, 0, algorithm="pcgé"))
+    text = text.replace(json.dumps(LABEL), json.dumps(LABEL, ensure_ascii=ensure_ascii))
+    return text.replace(json.dumps("pcgé"), json.dumps("pcgé", ensure_ascii=algorithm_ascii))
+
+
+def four_state_text():
+    return render_trace_document(four_state_trace_doc())
+
+
+def edited(old, new):
+    return lambda: four_state_text().replace(old, new, 1)
+
+
+ROUTE_CASES = {
+    "as written": (four_state_text, True),
+    "indent=3": (lambda: json.dumps(json.loads(four_state_text()), indent=3), False),
+    "CRLF": (lambda: four_state_text().replace("\n", "\r\n"), False),
+    "bytes": (lambda: four_state_text().encode("utf-8"), False),
+    "no final newline": (lambda: four_state_text()[:-1], False),
+    "text after the tail": (lambda: four_state_text() + " ", False),
+    "space inside a pair": (lambda: with_pair(long_text(), 1, 500, "[0.03125, 0]"), True),
+    "integer tokens": (basis_text, True),
+    "-0": (lambda: with_pair(basis_text(), 0, 1, "[-0,-0]"), True),
+    "-0.0": (lambda: with_pair(basis_text(), 1, 3, "[0,-0.0]"), True),
+    "1e400": (lambda: with_pair(long_text(), 1, 1000, "[1e400,0]"), False),
+    "400-digit integer": (lambda: with_pair(long_text(), 1, 1000, f"[0,{10**400}]"), False),
+    "NaN": (lambda: with_pair(basis_text(), 0, 3, "[NaN,0]"), False),
+    "escaped labels": (labelled_text, True),
+    "non-ASCII label": (lambda: labelled_text(ensure_ascii=False), True),
+    "non-ASCII algorithm": (lambda: labelled_text(algorithm_ascii=False), False),
+    "duplicate amplitudes, bad first": (
+        edited('"amplitudes": [', '"amplitudes": [[true, 0]], "amplitudes": ['), False),
+    "duplicate amplitudes, good first": (
+        edited('"label": "i", ', '"label": "i", "amplitudes": [[0.5, 0.5]], '), False),
+    "duplicate amplitudes, bad last": (
+        edited("]]}", ']], "amplitudes": [[0.5, 0], [false, 0]]}'), False),
+    "pair with a nested list": (lambda: with_pair(long_text(), 0, 7, "[1,[2]]"), False),
+    "two pairs in one": (lambda: with_pair(long_text(), 0, 7, "[0.03125,0], [0.03125,0]"), False),
+    "no comma between steps": (edited("]]},\n", "]]}\n"), False),
+    "comma before the first step": (edited("[\n", "[,\n"), False),
+    "zero steps": (lambda: render_trace_document(TraceDocument(2, 0, [], 2, 1)), True),
+    "outcome out of range": (edited('"outcome": 2', '"outcome": 4'), False),
+    "n with a leading zero": (edited('"n": 2', '"n": 02'), False),
+    "outcome with a leading zero": (edited('"outcome": 2', '"outcome": 02'), False),
+    "huge n": (edited('"n": 2', '"n": 1000000000'), False),
+    "format_version 2": (edited('"1"', '"2"'), False),
+    **{f"bad pair at [{j}]": (lambda j=j: with_pair(long_text(), 1, j, "[0.5,false]"), False)
+       for j in (0, 1000, 1023)},
+}
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_both_routes_give_the_same_document_or_error(case):
+    make, direct = ROUTE_CASES[case]
+    assert_routes_agree(make(), direct)
 
 
 MISSING = object()
