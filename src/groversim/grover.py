@@ -5,7 +5,6 @@ A traced run writes each snapshot as the step loop yields it and keeps none.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator, TextIO, Union
@@ -24,7 +23,7 @@ from .state import (
     basis_state,
     measure,
 )
-from .transforms import invert_phase_marked, invert_phase_zero, walsh_hadamard_fast
+from .transforms import _check_width, invert_phase_marked, invert_phase_zero, walsh_hadamard_fast
 
 IterationSpec = Union[int, str]
 
@@ -117,22 +116,17 @@ def roman_numeral(value: int) -> str:
     return "".join(parts)
 
 
-def _step_states(
-    n: int, oracle: Oracle, iterations: int, start: AmplitudeVector | None = None
-) -> Iterator[AmplitudeVector]:
-    """Run the literal steps of each iteration (flip marked, transform, flip
-    zero, transform) in two vectors of 2**n amplitudes owned for the whole
-    run, and yield the vector that holds the state: first the start state
-    (a copy of `start`, or by default the transform of basis state 0, built
-    in the pair), then the state after each step. A yielded vector is
-    overwritten by the steps after it; copy it to keep it.
+def _step_states(n: int, oracle: Oracle, iterations: int) -> Iterator[AmplitudeVector]:
+    """Run the search's literal steps (flip marked, transform, flip zero,
+    transform) in two vectors of 2**n amplitudes owned for the whole run,
+    and yield the vector that holds the state: first the transform of basis
+    state 0, built in the pair, then the state after each step. A yielded
+    vector is overwritten by the steps after it; copy it to keep it.
 
     Every step is a call of a public function by its name in this module,
     where a profiler can wrap it and see each step."""
-    state = basis_state(n, 0, n) if start is None else start.copy()
-    spare = AmplitudeVector(n, np.empty_like(state.amps))
-    if start is None:
-        state, spare = _transform_in_pair(state, spare)
+    state = basis_state(n, 0, n)
+    state, spare = _transform_in_pair(state, AmplitudeVector(n, np.empty_like(state.amps)))
     yield state
     for _ in range(iterations):
         yield invert_phase_marked(state, oracle, in_place=True)
@@ -153,9 +147,10 @@ def _transform_in_pair(
 
 
 def grover_iteration(state: AmplitudeVector, oracle: Oracle) -> AmplitudeVector:
-    """One search iteration: flip marked, transform, flip zero, transform.
-    The input is left untouched."""
-    return deque(_step_states(state.n, oracle, 1, state), maxlen=1).pop()
+    """One search iteration as its four public steps on copies: flip marked,
+    transform, flip zero, transform. The input is left untouched."""
+    flipped = walsh_hadamard_fast(invert_phase_marked(state, oracle))
+    return walsh_hadamard_fast(invert_phase_zero(flipped, in_place=True))
 
 
 def resolve_iterations(config: GroverConfig) -> tuple[int, bool]:
@@ -216,7 +211,9 @@ def run_grover(config: GroverConfig, trace: TextIO | None = None) -> SimulationT
 
 
 def success_probability(state: AmplitudeVector, oracle: Oracle) -> float:
-    """Total probability mass on the oracle's marked set."""
+    """Total probability mass on the oracle's marked set; an oracle of
+    another width than the state raises ValueError."""
+    _check_width(oracle, state)
     idx = oracle.marked_indices()
     if idx.size == 0:
         return 0.0

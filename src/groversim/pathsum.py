@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .state import MAX_INDEX_QUBITS, ResourceLimitError, _as_int, _index_set, _int_list
 from .state import apply_phase_flip, basis_state

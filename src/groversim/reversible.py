@@ -6,10 +6,10 @@ the packed index, so wire 0 is the least significant bit.
 
 Two routes run a circuit: run_circuit takes one input at a time, and
 circuit_to_permutation lifts the whole circuit bit-sliced (Biham, FSE
-1997). The lift packs each wire into a plane of one bit per input, moving
-between the index table's little-endian bytes and the planes with an 8x8
-bit-matrix transpose, and runs every gate as one or two uint8 operations
-on whole planes.
+1997). The lift writes down each wire's plane of one bit per input for the
+identity, runs every gate as one or two uint8 operations on whole planes,
+and turns the planes into the index table with one 8x8 bit-matrix
+transpose.
 """
 from __future__ import annotations
 
@@ -187,7 +187,7 @@ def _run_on_planes(planes: np.ndarray, gates: Sequence[Gate]) -> None:
     """Run the gates in place on packed wire planes, planes[i] for wire i.
 
     A function of its own so that no plane view outlives the gates, and the
-    lift can free the planes before it transposes them back."""
+    lift can free the planes before it transposes them."""
     for gate in gates:
         target = planes[gate.target]
         if gate.kind == "NOT":
@@ -204,15 +204,15 @@ def circuit_to_permutation(
     """Permutation p over basis indices with p[x] = circuit output on x.
 
     The lift is bit-sliced: it runs the gates on all 2**w inputs at once as
-    boolean operations on packed wire planes, 8 inputs to a byte. The
-    identity table (padded to 8 entries below 3 wires) is read as its
-    explicit little-endian bytes, so a big-endian host builds the same
-    table. Byte g of every 8 consecutive entries forms one uint64; an 8x8
-    bit transpose of it gives one byte of each of the planes of wires
-    8g..8g+7. A NOT inverts a plane, a CNOT xors one into another and a
-    Toffoli xors in the AND of two; the transpose then writes the planes
-    back. The lift allocates 8 bytes per input for the table and 2 more
-    per group of 8 wires (the planes and one transpose temporary).
+    boolean operations on packed wire planes, 8 inputs to a byte (one byte
+    below 3 wires). Bit k of byte j of wire i's plane is bit i of input
+    8j + k, so the identity's planes are fixed: 0xAA, 0xCC and 0xF0 for
+    wires 0-2, and runs of 2**(i-3) bytes of 0x00, then 0xFF, for wire i.
+    A NOT inverts a plane, a CNOT xors one into another and a Toffoli xors
+    in the AND of two. One 8x8 bit transpose of the planes of wires
+    8g..8g+7 gives byte g of 8 consecutive entries of the explicitly
+    little-endian table, which a big-endian host builds the same. The lift
+    allocates 8 bytes per input for the table and 1 per group of 8 wires.
 
     Every gate flips its target under a condition that does not read the
     target, so the table is a bijection by construction and is not
@@ -223,17 +223,17 @@ def circuit_to_permutation(
         raise ResourceLimitError(f"circuit has {circuit.wires} wires; cap is {cap}")
     size = 1 << circuit.wires
     groups = -(-circuit.wires // 8)
-    values = np.arange(max(size, 8), dtype="<i8")
-    table = values.view("<u1").reshape(-1, 8)  # row x: the bytes of x, low byte first
-    cols = np.ascontiguousarray(table[:, :groups].T)
-    _transpose8(cols.view("<u8"))
-    # planes[8g + b] is wire 8g + b: bit k of its byte j is that wire's bit of input 8j + k.
-    planes = np.ascontiguousarray(cols.reshape(groups, -1, 8).transpose(0, 2, 1))
-    del cols
-    _run_on_planes(planes.reshape(8 * groups, -1), circuit.gates)
-    cols = np.ascontiguousarray(planes.transpose(0, 2, 1))
+    planes = np.zeros((8 * groups, max(size, 8) >> 3), dtype=np.uint8)
+    planes[:3] = [[0xAA], [0xCC], [0xF0]]
+    for w in range(3, circuit.wires):
+        planes[w].reshape(-1, 2, 1 << (w - 3))[:, 1] = 0xFF
+    _run_on_planes(planes, circuit.gates)
+    # cols[g, j] holds byte j of the planes of wires 8g..8g+7, one to a byte.
+    cols = np.ascontiguousarray(planes.reshape(groups, 8, -1).transpose(0, 2, 1))
     del planes
     _transpose8(cols.view("<u8"))
+    values = np.zeros(max(size, 8), dtype="<i8")
+    table = values.view("<u1").reshape(-1, 8)  # row x: the bytes of x, low byte first
     # One column at a time: a single strided write of all of them is far slower.
     for g in range(groups):
         table[:, g] = cols[g].reshape(-1)

@@ -6,10 +6,10 @@ implementations are kept deliberately independent: a naive O(4**n)
 matrix-vector product used as a reference, and the O(n * 2**n) butterfly
 used everywhere else. The naive transform builds its N x N matrix on each
 call, about 9 bytes per entry at peak, and keeps nothing between calls. The
-butterfly is a ping-pong between two buffers of 2**n amplitudes, blocked so
-that the passes for the low 16 bits run on one cache-sized block at a time;
-the search engine owns such a pair for a whole run and hands it in, and
-other callers get the transform of a copy.
+butterfly repeats one pass form between two buffers of 2**n amplitudes,
+over cache-sized blocks for the low 16 bits, then over rows of the whole
+vector; the search engine owns such a pair for a whole run and hands it
+in, and other callers get the transform of a copy.
 
 Both phase inversions negate at basis indices (the oracle's cached marked
 indices, or index 0) through one kernel in state.py, with no 2**n mask;
@@ -71,9 +71,9 @@ _BLOCK_BITS = 16
 
 
 def _ping_pong(a: np.ndarray, b: np.ndarray, passes: int, scale: float) -> None:
-    """Run passes over bits 0..passes-1 of one block, from a into b and back;
-    the result is in a if passes is even, else in b."""
-    half = a.size >> 1
+    """Run passes over the lowest bits of the row index of a, from a into b
+    and back; the result is in a if passes is even, else in b."""
+    half = len(a) >> 1
     for _ in range(passes):
         lo, hi = a[0::2], a[1::2]
         np.add(lo, hi, out=b[:half])
@@ -91,22 +91,20 @@ def walsh_hadamard_fast(
     ((x + y)/sqrt(2), (x - y)/sqrt(2)), so the overall 1/sqrt(N) scale
     arrives one factor per pass. Matches walsh_hadamard_naive to roundoff.
 
-    The passes are cache-blocked. Bits 0..m-1, with m = min(n, 16), are
-    done one block of 2**m amplitudes at a time: each pass reads the even
-    and odd entries of the block in one buffer, which differ in the lowest
-    bit of the index, and writes the sums to the low half and the
-    differences to the high half of the block in the other; that moves the
-    bit to the top, so the m-th pass puts every bit back in place. Bits
-    m..n-1 then take one pass each over the whole vector, through
-    (2**(n-k-1), 2, 2**k) views of the two buffers. For n <= 16 that is one
-    block. Every pass uses the same operations on the same operands in the
-    same bit order at any n, so the bytes do not depend on the blocking.
-    The views need no temporaries.
+    Every pass has one form: it reads the even and odd rows of one buffer,
+    which differ in the lowest bit of the row index, and writes the sums to
+    the low half and the differences to the high half of the other; that
+    moves the bit to the top, so after as many passes as there are bits
+    every bit is back in place. Bits 0..m-1, with m = min(n, 16), take such
+    passes over one cache-sized block of 2**m amplitudes at a time, and bits
+    m..n-1 over the rows of the vector viewed as (2**(n-m), 2**m). Each pass
+    adds the same operands in the same bit order at any blocking, so the
+    bytes do not depend on it; the views need no temporaries.
 
     Without spare, the input is left untouched and the result is new. With
     spare, a separate vector of the same size whose amplitudes are free, the
     passes run in the two buffers and allocate nothing: both are
-    overwritten, and the one returned (state or spare) holds the result.
+    overwritten, and the result is in spare if n is odd, else in state.
     """
     if spare is None:
         state, spare = state.copy(), AmplitudeVector(state.n, np.empty_like(state.amps))
@@ -118,15 +116,15 @@ def walsh_hadamard_fast(
     block = 1 << m
     for start in range(0, a.size, block):
         _ping_pong(a[start:start + block], b[start:start + block], m, scale)
-    if m & 1:
-        a, b = b, a
-    for k in range(m, state.n):
-        x, y = a.reshape(-1, 2, 1 << k), b.reshape(-1, 2, 1 << k)
-        np.add(x[:, 0], x[:, 1], out=y[:, 0])
-        np.subtract(x[:, 0], x[:, 1], out=y[:, 1])
-        b *= scale
-        a, b = b, a
-    return state if a is state.amps else spare
+    if state.n > m:
+        x, y = (b, a) if m & 1 else (a, b)
+        _ping_pong(x.reshape(-1, block), y.reshape(-1, block), state.n - m, scale)
+    return spare if state.n & 1 else state
+
+
+def _check_width(oracle, state: AmplitudeVector) -> None:
+    if oracle.n != state.n:
+        raise ValueError(f"oracle covers n={oracle.n} qubits, the state n={state.n}")
 
 
 def invert_phase_marked(
@@ -137,8 +135,10 @@ def invert_phase_marked(
     The oracle is queried once in superposition over the whole register,
     so oracle.eval_count goes up by exactly 1 per call. The input is left
     untouched and a negated copy returned, unless in_place is set: then
-    state itself is negated and returned.
+    state itself is negated and returned. An oracle of another width than
+    the state raises ValueError.
     """
+    _check_width(oracle, state)
     out = state if in_place else state.copy()
     oracle.eval_count += 1
     _negate_at(out.amps, oracle.marked_indices())

@@ -403,20 +403,23 @@ def test_parse_trace_rejects_non_finite_literals():
 
 @pytest.mark.parametrize("qubits", [9, 10])
 def test_parse_trace_peaks_below_the_text_length(qubits, tmp_path, capsys):
-    # Each snapshot is packed as JSON closes its step, so the parse never
-    # holds the list tree of the whole document (about 5x its text).
+    # Text in the writer's layout is read directly, one step line at a time.
+    # Through json.loads, each snapshot is packed as JSON closes its step.
+    # Neither route holds the list tree of the whole document (about 5x its
+    # text).
     path = tmp_path / "trace.json"
     assert main(["grover", "run", "--qubits", str(qubits), "--marked", "3", "--trace", str(path)]) == 0
     capsys.readouterr()
     text = path.read_text(encoding="utf-8")
-    tracemalloc.start()
-    try:
-        doc = parse_trace_document(text)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(doc.steps) > 50
-    assert peak < len(text)
+    for parse in (parse_trace_document, _parse_trace_json):
+        tracemalloc.start()
+        try:
+            doc = parse(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(doc.steps) > 50
+        assert peak < len(text)
 
 
 def assert_same_document(parsed, doc):

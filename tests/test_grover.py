@@ -273,6 +273,19 @@ def test_success_probability_uniform_and_final():
     assert success_probability(uniform_state(2), empty) == 0.0
 
 
+@pytest.mark.parametrize("width", [2, 4])
+@pytest.mark.parametrize("step", [invert_phase_marked, success_probability, grover_iteration])
+def test_an_oracle_of_another_width_is_refused(width, step):
+    # A narrower oracle would flip or sum the wrong amplitudes of the state.
+    oracle = Oracle(width, marked={1})
+    state = uniform_state(3)
+    before = state.amps.tobytes()
+    with pytest.raises(ValueError, match=f"oracle covers n={width} qubits, the state n=3"):
+        step(state, oracle)
+    assert oracle.eval_count == 0
+    assert state.amps.tobytes() == before
+
+
 def test_optimal_iterations_known_counts():
     assert optimal_iterations(4) == 1
     assert optimal_iterations(1024) == 25
