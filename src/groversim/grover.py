@@ -116,19 +116,35 @@ def roman_numeral(value: int) -> str:
     return "".join(parts)
 
 
-def _step_states(n: int, oracle: Oracle, iterations: int) -> Iterator[AmplitudeVector]:
+def _step_states(
+    n: int, oracle: Oracle, iterations: int, real: int = 0
+) -> Iterator[AmplitudeVector]:
     """Run the search's literal steps (flip marked, transform, flip zero,
-    transform) in two vectors of 2**n amplitudes owned for the whole run,
-    and yield the vector that holds the state: first the transform of basis
-    state 0, built in the pair, then the state after each step. A yielded
-    vector is overwritten by the steps after it; copy it to keep it.
+    transform) in two vectors of 2**n amplitudes, and yield the vector that
+    holds the state: first the transform of basis state 0, built in the
+    pair, then the state after each step. A yielded vector is overwritten
+    by the steps after it; copy it to keep it.
+
+    With real > 0, the start state and the first `real` iterations run on
+    float64 buffers, which hold the real parts of the complex run's
+    vectors bit for bit: from |0> the steps never leave the reals. The
+    state is then widened to complex128 for the remaining iterations. The
+    real spare is dropped before the widening, and the complex spare is
+    allocated only after the first complex step is yielded, when the
+    caller has let go of the last real vector; so the peak stays at two
+    complex vectors.
 
     Every step is a call of a public function by its name in this module,
     where a profiler can wrap it and see each step."""
     state = basis_state(n, 0, n)
-    state, spare = _transform_in_pair(state, AmplitudeVector(n, np.empty_like(state.amps)))
+    if real:
+        state = AmplitudeVector(n, state.amps.real.copy())
+    state, spare = _transform_in_pair(state)
     yield state
-    for _ in range(iterations):
+    for i in range(iterations):
+        if real and i == real:
+            spare = None
+            state = AmplitudeVector(n, state.amps.astype(np.complex128))
         yield invert_phase_marked(state, oracle, in_place=True)
         state, spare = _transform_in_pair(state, spare)
         yield state
@@ -138,10 +154,13 @@ def _step_states(n: int, oracle: Oracle, iterations: int) -> Iterator[AmplitudeV
 
 
 def _transform_in_pair(
-    state: AmplitudeVector, spare: AmplitudeVector
+    state: AmplitudeVector, spare: AmplitudeVector | None = None
 ) -> tuple[AmplitudeVector, AmplitudeVector]:
-    """Transform state in the buffers of state and spare; returns the vector
-    that holds the result and the one left free."""
+    """Transform state in the buffers of state and spare, a new one if none
+    is given; returns the vector that holds the result and the one left
+    free."""
+    if spare is None:
+        spare = AmplitudeVector(state.n, np.empty_like(state.amps))
     out = walsh_hadamard_fast(state, spare=spare)
     return (out, spare) if out is state else (out, state)
 
@@ -180,6 +199,11 @@ def run_grover(config: GroverConfig, trace: TextIO | None = None) -> SimulationT
     every step of every iteration, each checked as TraceDocument checks it.
     A trace of more than 2**max_qubits amplitudes and label characters in
     all raises ResourceLimitError before anything is written or allocated.
+
+    An untraced run does all but the last iteration on float64 buffers and
+    the last one on complex128, so final_state is complex128 and the same
+    bytes as the traced run's last snapshot, down to the signs of its zero
+    imaginary parts. A traced run is complex128 throughout.
     """
     iterations, degenerate = resolve_iterations(config)
     if trace is not None:
@@ -192,7 +216,8 @@ def run_grover(config: GroverConfig, trace: TextIO | None = None) -> SimulationT
             )
         _write_head(trace, config.n, config.seed)
     evals_before = config.oracle.eval_count
-    for i, state in enumerate(_step_states(config.n, config.oracle, iterations)):
+    real = iterations - 1 if trace is None and iterations else 0
+    for i, state in enumerate(_step_states(config.n, config.oracle, iterations, real)):
         if trace is not None:
             _write_step(trace, i, roman_numeral(i + 1), _snapshot(i, state.amps, 1 << config.n))
     outcome, _ = measure(state, np.random.default_rng(config.seed))
@@ -245,10 +270,13 @@ def scan_probabilities(config: GroverConfig, t_max: int) -> list[tuple[int, floa
     """Success probability after t iterations for every t in 0..t_max.
 
     Runs incrementally, so the whole series costs one length-t_max run:
-    every fourth vector of the step loop ends an iteration.
+    every fourth vector of the step loop ends an iteration. Every
+    iteration runs on float64 buffers: only probabilities leave a scan,
+    and re**2 + 0.0 gives the bits that the complex run's
+    re**2 + (+-0.0)**2 gives.
     """
     _as_int(t_max, "t_max", minimum=1)
-    ends = islice(_step_states(config.n, config.oracle, t_max), None, None, 4)
+    ends = islice(_step_states(config.n, config.oracle, t_max, t_max), None, None, 4)
     return [(t, success_probability(state, config.oracle)) for t, state in enumerate(ends)]
 
 

@@ -61,14 +61,21 @@ def _require_qubits(n: int, max_qubits: int) -> None:
 
 @dataclass
 class AmplitudeVector:
-    """Amplitudes for all 2**n basis states, stored as complex128."""
+    """Amplitudes for all 2**n basis states, stored as complex128.
+
+    A float64 ndarray is kept as float64: a real vector, whose imaginary
+    parts are all +0.0, as the search engine's real buffers are. Every
+    other input (lists, ints, float32, complex) becomes complex128.
+    """
 
     n: int
     amps: np.ndarray
 
     def __post_init__(self) -> None:
         size = 1 << _as_int(self.n, "n", 1, MAX_INDEX_QUBITS)
-        amps = np.asarray(self.amps, dtype=np.complex128)
+        amps = self.amps
+        if not (isinstance(amps, np.ndarray) and amps.dtype == np.float64):
+            amps = np.asarray(amps, dtype=np.complex128)
         if amps.shape != (size,):
             raise ValueError(f"amplitude array has shape {amps.shape}, expected ({size},)")
         self.amps = amps

@@ -102,14 +102,17 @@ def walsh_hadamard_fast(
     bytes do not depend on it; the views need no temporaries.
 
     Without spare, the input is left untouched and the result is new. With
-    spare, a separate vector of the same size whose amplitudes are free, the
-    passes run in the two buffers and allocate nothing: both are
-    overwritten, and the result is in spare if n is odd, else in state.
+    spare, a separate vector of the same size and dtype whose amplitudes
+    are free, the passes run in the two buffers and allocate nothing: both
+    are overwritten, and the result is in spare if n is odd, else in state.
+    A float64 state is transformed in float64; the result equals, bit for
+    bit, the real part of the transform of the same vector in complex128.
     """
     if spare is None:
         state, spare = state.copy(), AmplitudeVector(state.n, np.empty_like(state.amps))
-    elif spare.n != state.n or np.may_share_memory(spare.amps, state.amps):
-        raise ValueError("spare must be a separate vector of the same size as the state")
+    elif (spare.n != state.n or spare.amps.dtype != state.amps.dtype
+          or np.may_share_memory(spare.amps, state.amps)):
+        raise ValueError("spare must be a separate vector of the same size and dtype as the state")
     a, b = state.amps, spare.amps
     scale = 1.0 / math.sqrt(2.0)
     m = min(state.n, _BLOCK_BITS)

@@ -29,6 +29,27 @@ def test_basis_state_is_one_hot():
     assert v.amps.dtype == np.complex128
 
 
+def test_amplitude_vector_keeps_float64_and_widens_everything_else():
+    real = np.array([0.6, -0.0, 0.8, 0.0])
+    kept = AmplitudeVector(2, real)
+    assert kept.amps is real
+    assert kept.copy().amps.dtype == np.float64
+    for amps in ([1, 0], [1.0, 0.0], np.array([1, 0]), np.array([1.0, 0.0], dtype=np.float32),
+                 np.array([1.0, 0.0], dtype=np.complex64), np.array([1.0, 0.0], dtype=np.complex128)):
+        assert AmplitudeVector(1, amps).amps.dtype == np.complex128
+    assert uniform_state(3).amps.dtype == np.complex128
+
+
+def test_measure_and_probability_read_a_real_vector_as_its_complex_twin():
+    amps = np.array([0.5, -0.5, 0.0, -0.5 ** 0.5])
+    real, twin = AmplitudeVector(2, amps), AmplitudeVector(2, amps.astype(np.complex128))
+    assert [probability(real, r) for r in range(4)] == [probability(twin, r) for r in range(4)]
+    for seed in range(20):
+        (got, collapsed), (want, expected) = measure(real, seed), measure(twin, seed)
+        assert got == want
+        assert collapsed.amps.tobytes() == expected.amps.tobytes()
+
+
 def test_basis_state_norm_is_exactly_one():
     assert norm(basis_state(4, 9)) == 1.0
 

@@ -246,6 +246,25 @@ def test_fast_transform_rejects_a_spare_that_is_not_a_separate_buffer():
             walsh_hadamard_fast(v, spare=spare)
 
 
+def test_fast_transform_rejects_a_spare_of_another_dtype():
+    real = AmplitudeVector(3, np.full(8, 8 ** -0.5))
+    for state, spare in ((real, uniform_state(3)), (uniform_state(3), AmplitudeVector(3, np.empty(8)))):
+        with pytest.raises(ValueError, match="spare must be a separate vector"):
+            walsh_hadamard_fast(state, spare=spare)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_fast_transform_of_a_real_vector_is_the_real_part_bit_for_bit(n, seed):
+    amps = np.random.default_rng(seed).normal(size=1 << n)
+    amps[::3] = 0.0
+    amps[1::5] = -0.0
+    real = walsh_hadamard_fast(AmplitudeVector(n, amps))
+    full = walsh_hadamard_fast(AmplitudeVector(n, amps.astype(np.complex128)))
+    assert real.amps.dtype == np.float64
+    assert real.amps.tobytes() == full.amps.real.tobytes()
+
+
 def test_phase_flips_in_place_negate_the_state_itself():
     amps = np.array([1.0, -0.0, 0.0, 2.0]) + 1j * np.array([0.0, 1.0, -0.0, 0.0])
     oracle = Oracle(2, marked={1, 2})
