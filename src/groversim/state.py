@@ -37,8 +37,18 @@ class ResourceLimitError(RuntimeError):
     """A request would exceed a configured memory or enumeration cap."""
 
 
-RandomSource = Union[int, np.random.Generator]
 Selector = Union[Callable[[int], bool], Iterable[int], np.ndarray]
+
+
+def __getattr__(name: str) -> Any:
+    # RandomSource = Union[int, np.random.Generator], built on first use:
+    # naming np.random imports numpy.random, which commands that never draw
+    # (the circuit commands) need not pay for at start-up. For the same
+    # reason measure() spells the union out in its (unevaluated) annotation.
+    if name == "RandomSource":
+        globals()[name] = alias = Union[int, np.random.Generator]
+        return alias
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _as_int(value: Any, where: str, minimum: int | None = None, maximum: int | None = None) -> int:
@@ -117,7 +127,9 @@ def norm(state: AmplitudeVector) -> float:
     return float(np.linalg.norm(state.amps))
 
 
-def measure(state: AmplitudeVector, rng: RandomSource) -> tuple[int, AmplitudeVector]:
+def measure(
+    state: AmplitudeVector, rng: int | np.random.Generator
+) -> tuple[int, AmplitudeVector]:
     """Sample one basis index from |amps|**2 and collapse onto it.
 
     Parameters
@@ -196,8 +208,18 @@ def _negate_at(amps: np.ndarray, idx) -> None:
 
 
 def _is_permutation(values: np.ndarray) -> bool:
-    """True iff values holds each index 0..len(values)-1 exactly once."""
-    return bool((np.bincount(values, minlength=len(values)) == 1).all())
+    """True iff values holds each index 0..len(values)-1 exactly once.
+
+    With every value in range, len(values) values cover all len(values)
+    indices exactly when none repeats, so one byte per index marks those
+    seen. The range check comes first: a negative index would wrap.
+    """
+    size = len(values)
+    if size and (values.min() < 0 or values.max() >= size):
+        return False
+    seen = np.zeros(size, dtype=bool)
+    seen[values] = True
+    return bool(seen.all())
 
 
 def apply_phase_flip(state: AmplitudeVector, selector: Selector) -> AmplitudeVector:
@@ -227,9 +249,9 @@ def apply_permutation(state: AmplitudeVector, perm) -> AmplitudeVector:
     if targets.shape != (size,):
         raise ValueError(f"permutation array has shape {targets.shape}, expected ({size},)")
     targets = targets.astype(np.int64, copy=False)
-    if targets.min() < 0 or targets.max() >= size:
-        raise ValueError(f"permutation target out of range for {size} basis states")
     if not _is_permutation(targets):
+        if targets.min() < 0 or targets.max() >= size:
+            raise ValueError(f"permutation target out of range for {size} basis states")
         raise ValueError("permutation sends two inputs to one target; not a bijection")
     out = np.empty_like(state.amps)
     out[targets] = state.amps

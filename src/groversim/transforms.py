@@ -5,7 +5,8 @@ positive exactly when q AND r has an even number of 1 bits. Two
 implementations are kept deliberately independent: a naive O(4**n)
 matrix-vector product used as a reference, and the O(n * 2**n) butterfly
 used everywhere else. The naive transform builds its N x N matrix on each
-call, about 9 bytes per entry at peak, and keeps nothing between calls. The
+call, one block of 32 rows at a time at about 9 bytes per entry, so its
+peak stays near 288 * N bytes, and keeps nothing between calls. The
 butterfly repeats one pass form between two buffers of 2**n amplitudes,
 over cache-sized blocks for the low 16 bits, then over rows of the whole
 vector; the search engine owns such a pair for a whole run and hands it
@@ -23,9 +24,16 @@ import numpy as np
 
 from .state import MAX_INDEX_QUBITS, AmplitudeVector, ResourceLimitError, _as_int, _negate_at
 
-# The naive transform materializes the full N x N matrix; past n=12 that is
-# at least 512 MiB of float64, so it refuses rather than thrash.
+# The naive transform does N * N multiply-adds: 16.7 million at n=12, some
+# tens of milliseconds. Past that the quadratic work outgrows a cross-check,
+# so it refuses and points at the butterfly.
 MAX_NAIVE_QUBITS = 12
+
+# Rows of the naive transform's matrix built and applied at a time: 9 bytes
+# an entry (float64 and a byte of parity), so 288 * N bytes at peak. Fewer
+# rows pay more per-block calls at small n; more rows gain no time and cost
+# memory (measured at n = 6..12, one BLAS thread).
+_NAIVE_ROWS = 32
 
 
 def _wh_sign(q: int, r: int) -> int:
@@ -48,9 +56,13 @@ def walsh_hadamard_naive(state: AmplitudeVector) -> AmplitudeVector:
     """Reference transform: full matrix-vector product.
 
     out[q] = sum over r of entry(q, r) * in[r]. The matrix is built on
-    each call, at about 9 bytes per entry at peak (its float64 entries and
-    a byte of parity each), and nothing is kept. Quadratic memory, so only
-    small n; the butterfly version is the production path.
+    each call in blocks of 32 rows, at about 9 bytes per entry (its
+    float64 entries and a byte of parity each), and each block is applied
+    and dropped before the next is built, so the peak is about 288 * 2**n
+    bytes and nothing is kept. Each row is the same product as in the
+    whole matrix, so the result does not depend on the blocking.
+    Quadratic work, so only small n; the butterfly version is the
+    production path.
     """
     if state.n > MAX_NAIVE_QUBITS:
         raise ResourceLimitError(
@@ -58,11 +70,20 @@ def walsh_hadamard_naive(state: AmplitudeVector) -> AmplitudeVector:
             f"use walsh_hadamard_fast above n={MAX_NAIVE_QUBITS}"
         )
     idx = np.arange(state.size, dtype=np.uint32)
-    odd = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
-    scale = 1.0 / math.sqrt(state.size)
-    matrix = np.where(odd, -scale, scale)
-    out = matrix @ state.amps.real + 1j * (matrix @ state.amps.imag)
+    re, im = state.amps.real, state.amps.imag
+    out = np.empty(state.size, dtype=np.complex128)
+    for q in range(0, state.size, _NAIVE_ROWS):
+        out[q:q + _NAIVE_ROWS] = _naive_rows(idx[q:q + _NAIVE_ROWS], idx, re, im)
     return AmplitudeVector(state.n, out)
+
+
+def _naive_rows(rows: np.ndarray, cols: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The naive transform's outputs at the indices rows: its matrix rows
+    over all indices cols, applied to re + 1j * im. The rows are freed on
+    return, before the caller builds the next block."""
+    scale = 1.0 / math.sqrt(cols.size)
+    matrix = np.where(np.bitwise_count(rows[:, None] & cols[None, :]) & 1, -scale, scale)
+    return matrix @ re + 1j * (matrix @ im)
 
 
 # The butterfly's low-bit passes run one block of 2**_BLOCK_BITS amplitudes

@@ -3,7 +3,10 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,16 @@ def write_adder(tmp_path):
     path = tmp_path / "adder.json"
     path.write_text(render_circuit_document(adder_circuit()), encoding="utf-8")
     return str(path)
+
+
+def test_importing_the_cli_leaves_numpy_random_out():
+    # The circuit commands never draw, so start-up need not import it.
+    code = "import sys, groversim.cli; print('numpy.random' in sys.modules)"
+    pythonpath = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_run_text_golden(capsys):

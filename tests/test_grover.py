@@ -560,7 +560,35 @@ def test_classical_baseline_draws_a_long_trial_in_pieces():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40 << 20
+    assert peak < 4 << 20
+
+
+def test_classical_baseline_draws_whole_trials_in_small_pieces():
+    # 20000 trials of 64 draws in one block would peak at 176 times the
+    # 64 KiB of a 4096-amplitude state.
+    tracemalloc.start()
+    try:
+        classical_baseline(4096, {1, 2, 3}, 64, 20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 16 * 4096
+
+
+def test_classical_baseline_does_not_depend_on_the_piece(monkeypatch):
+    # (size, marked, draws per trial, trials, seed): trials of 64 draws, of a
+    # few draws that do not divide a piece, and of more draws than a piece.
+    cases = [
+        (4096, {1, 2, 3}, 64, 3000, 0),
+        (1000, {7, 999}, 3, 50001, 5),
+        (1 << 20, {5, 6}, 70001, 12, 11),
+    ]
+    results = []
+    for piece in (1 << 4, 1 << 16, 1 << 22):
+        monkeypatch.setattr("groversim.grover._DRAW_PIECE", piece)
+        results.append([classical_baseline(*case) for case in cases])
+    assert results[0] == results[1] == results[2]
+    assert 0.0 < results[0][2].empirical < 1.0
 
 
 def test_classical_baseline_multiple_marked():

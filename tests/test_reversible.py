@@ -159,6 +159,30 @@ def test_check_bijection_validation():
         check_bijection([[0, 0], [1], [1, 0], [1, 1]])
 
 
+def test_is_permutation_rejects_negative_out_of_range_and_repeated_values():
+    assert _is_permutation(np.array([2, 0, 3, 1]))
+    assert _is_permutation(np.array([], dtype=np.int64))
+    # -1 would wrap to index 3 in a scatter, so these four would mark all four.
+    assert not _is_permutation(np.array([0, 1, 2, -1]))
+    assert not _is_permutation(np.array([-4, 1, 2, 3]))
+    assert not _is_permutation(np.array([0, 1, 2, 4]))
+    assert not _is_permutation(np.array([0, 1, 2, 1 << 40]))
+    assert not _is_permutation(np.array([0, 1, 1, 3]))
+    assert not _is_permutation(np.array([3, 3, 3, 3]))
+
+
+def test_is_permutation_needs_a_byte_an_index():
+    # An int64 count per index would take 8 MiB at 2**20 entries.
+    values = np.random.default_rng(9).permutation(1 << 20)
+    tracemalloc.start()
+    try:
+        assert _is_permutation(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 20) + (64 << 10)
+
+
 def test_bits_index_round_trip():
     for width in (1, 3, 6):
         for x in range(1 << width):

@@ -295,6 +295,11 @@ def test_permutation_rejects_duplicates_and_range():
         apply_permutation(v, [0, 0, 2, 3])
     with pytest.raises(ValueError, match="out of range"):
         apply_permutation(v, [0, 1, 2, 4])
+    # -1 would wrap to the missing 3; a range error comes before a repeat.
+    with pytest.raises(ValueError, match="out of range"):
+        apply_permutation(v, [0, 1, 2, -1])
+    with pytest.raises(ValueError, match="out of range"):
+        apply_permutation(v, [5, 5, 2, 3])
     with pytest.raises(ValueError, match="shape"):
         apply_permutation(v, [0, 1, 2])
 

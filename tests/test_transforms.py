@@ -106,8 +106,41 @@ def test_naive_transform_matches_explicit_matrix():
             assert (walsh_hadamard_naive(basis_state(n, r)).amps == matrix[:, r]).all()
 
 
+def test_naive_transform_equals_the_whole_matrix_product():
+    # The rows are built and applied a block at a time; each output entry is
+    # the same row product as with the whole matrix, so the bytes are too.
+    rng = np.random.default_rng(24)
+    for n in range(1, 11):
+        size = 1 << n
+        idx = np.arange(size, dtype=np.uint32)
+        scale = 1.0 / math.sqrt(size)
+        matrix = np.where(np.bitwise_count(idx[:, None] & idx[None, :]) & 1, -scale, scale)
+        for amps in [rng.normal(size=size) + 1j * rng.normal(size=size) for _ in range(3)] + [
+            rng.normal(size=size) for _ in range(3)
+        ]:
+            want = matrix @ amps.real + 1j * (matrix @ amps.imag)
+            got = walsh_hadamard_naive(AmplitudeVector(n, amps)).amps
+            assert got.dtype == np.complex128
+            assert got.tobytes() == want.tobytes()
+
+
+def test_naive_transform_peaks_at_a_block_of_rows():
+    # The whole matrix would peak near 9 * 4**n bytes: 580 states at n=10
+    # and 2308 at n=12.
+    for n in (10, 12):
+        state = basis_state(n, 1)
+        tracemalloc.start()
+        try:
+            walsh_hadamard_naive(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * state.amps.nbytes
+
+
 def test_naive_transform_retains_nothing():
-    # Each call builds its matrix (128 MiB at n=12) and drops it on return.
+    # Each call builds its matrix a block of rows at a time (1.1 MiB at n=12)
+    # and drops the last block on return.
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
