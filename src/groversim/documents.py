@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import re
 from dataclasses import dataclass
 from itertools import chain, count
@@ -66,14 +65,6 @@ def _format_pairs(amps: np.ndarray) -> str:
     parts = _format_floats(amps[order[first]].view(np.float64))
     table = np.array([f"[{re},{im}]" for re, im in zip(parts[::2], parts[1::2])], dtype=object)
     return ",".join(table[group].tolist())
-
-
-def format_float(value: float) -> str:
-    """17-significant-digit decimal form; round-trips any finite double."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"cannot serialize non-finite value {value!r}")
-    return _format_floats(np.array([value]))[0]
 
 
 @dataclass
@@ -158,9 +149,7 @@ def _rendered(write: Callable[..., None], *args: Any) -> str:
 
 
 def render_trace_document(doc: TraceDocument) -> str:
-    out = io.StringIO()
-    write_trace_document(doc, out)
-    return out.getvalue()
+    return _rendered(lambda out: write_trace_document(doc, out))
 
 
 def _load_json(text: str, where: str, object_hook: Callable[[dict], Any] | None = None) -> Any:

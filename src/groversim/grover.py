@@ -116,9 +116,7 @@ def roman_numeral(value: int) -> str:
     return "".join(parts)
 
 
-def _step_states(
-    n: int, oracle: Oracle, iterations: int, real: int = 0
-) -> Iterator[AmplitudeVector]:
+def _step_states(n: int, oracle: Oracle, iterations: int, real: int) -> Iterator[AmplitudeVector]:
     """Run the search's literal steps (flip marked, transform, flip zero,
     transform) in two vectors of 2**n amplitudes, and yield the vector that
     holds the state: first the transform of basis state 0, built in the
@@ -189,6 +187,12 @@ def resolve_iterations(config: GroverConfig) -> tuple[int, bool]:
     return config.iterations, False
 
 
+def _above_power_of_two(x: int, k: int) -> bool:
+    """x > 2**k, for x >= 0 and k >= 1, without building 2**k: a cap k comes
+    from outside the program, and at k = 10**11 that int alone is 12.5 GB."""
+    return (x - 1).bit_length() > k
+
+
 def run_grover(config: GroverConfig, trace: TextIO | None = None) -> SimulationTrace:
     """Run the full search and measure once at the end.
 
@@ -209,7 +213,7 @@ def run_grover(config: GroverConfig, trace: TextIO | None = None) -> SimulationT
     if trace is not None:
         # Each label, roman_numeral(i), carries one "m" per thousand snapshots.
         snapshots = 4 * iterations + 1
-        if snapshots * ((1 << config.n) + snapshots // 1000) > 1 << config.max_qubits:
+        if _above_power_of_two(snapshots * ((1 << config.n) + snapshots // 1000), config.max_qubits):
             raise ResourceLimitError(
                 f"a trace of {snapshots} snapshots at n={config.n} exceeds 2**{config.max_qubits} "
                 f"amplitudes and label characters, the {config.max_qubits}-qubit cap"
@@ -315,9 +319,9 @@ def classical_baseline(
     _as_int(trials, "trials", 1)
     _as_int(seed, "seed", 0)
     _as_int(max_qubits, "max_qubits", 1)
-    if size > 1 << max_qubits:
+    if _above_power_of_two(size, max_qubits):
         raise ResourceLimitError(f"size {size} exceeds 2**{max_qubits}, the {max_qubits}-qubit cap")
-    if iterations * trials > 1 << (max_qubits + 4):
+    if _above_power_of_two(iterations * trials, max_qubits + 4):
         raise ResourceLimitError(
             f"{iterations} * {trials} draws exceed 2**{max_qubits + 4}, "
             f"the draw cap of the {max_qubits}-qubit cap"

@@ -40,17 +40,6 @@ class ResourceLimitError(RuntimeError):
 Selector = Union[Callable[[int], bool], Iterable[int], np.ndarray]
 
 
-def __getattr__(name: str) -> Any:
-    # RandomSource = Union[int, np.random.Generator], built on first use:
-    # naming np.random imports numpy.random, which commands that never draw
-    # (the circuit commands) need not pay for at start-up. For the same
-    # reason measure() spells the union out in its (unevaluated) annotation.
-    if name == "RandomSource":
-        globals()[name] = alias = Union[int, np.random.Generator]
-        return alias
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _as_int(value: Any, where: str, minimum: int | None = None, maximum: int | None = None) -> int:
     """value itself if it is an int and not a bool (which is no count and
     not a JSON number), within the bounds that are given."""

@@ -37,14 +37,27 @@ def write_adder(tmp_path):
     return str(path)
 
 
-def test_importing_the_cli_leaves_numpy_random_out():
-    # The circuit commands never draw, so start-up need not import it.
-    code = "import sys, groversim.cli; print('numpy.random' in sys.modules)"
+def run_python(*args):
+    """A new interpreter run with args, the package's sources on its path."""
     pythonpath = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout == "False\n"
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_importing_the_cli_leaves_numpy_random_out():
+    # The circuit commands never draw, so start-up need not import it.
+    done = run_python("-c", "import sys, groversim.cli; print('numpy.random' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+def test_the_cli_module_runs_as_a_script_and_exits_with_mains_code():
+    argv = ["-m", "groversim.cli", "grover", "run", "--qubits", "2", "--marked", "2"]
+    done = run_python(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == (0, RUN_GOLDEN, "")
+    done = run_python(*argv[:-1], "9")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: marked index 9 out of range for 4 basis states\n"
+    )
 
 
 def test_run_text_golden(capsys):

@@ -20,7 +20,6 @@ from groversim import (
     ReversibleCircuit,
     TraceDocument,
     adder_circuit,
-    format_float,
     inverse_circuit,
     parse_circuit_document,
     parse_trace_document,
@@ -53,19 +52,13 @@ def four_state_trace_doc():
     return traced(GroverConfig(2, Oracle(2, marked={2}), iterations=1, seed=3))[1]
 
 
-def test_format_float_round_trips_doubles():
+def test_format_floats_round_trips_doubles():
     values = [0.1, 1.0 / 3.0, 0.5000000000000001, -1.0, 2.0**-52, 1e22, 0.0, -0.0]
-    for v in values:
-        back = float(format_float(v))
+    for v, text in zip(values, _format_floats(np.array(values))):
+        back = float(text)
         assert back == v
         assert math.copysign(1.0, back) == math.copysign(1.0, v)
-    assert format_float(0.5) == "0.5"
-    assert format_float(1.0) == "1"
-    assert format_float(-0.0) == "-0.0"
-    with pytest.raises(ValueError):
-        format_float(float("inf"))
-    with pytest.raises(ValueError):
-        format_float(float("nan"))
+    assert _format_floats(np.array([0.5, 1.0, -0.0])) == ["0.5", "1", "-0.0"]
 
 
 def test_trace_document_from_run():
@@ -327,6 +320,33 @@ def test_parse_trace_rejects_bad_documents():
     raw["outcome"] = True
     with pytest.raises(ValueError, match="outcome"):
         parse_trace_document(json.dumps(raw))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: raw["rng"].update(algorithm=64), "rng.algorithm: expected a string, got 64"),
+        (lambda raw: raw.update(steps={}), "steps: expected a list"),
+        (lambda raw: raw["steps"].__setitem__(2, "iii"), "steps[2]: expected an object"),
+    ],
+)
+def test_parse_trace_names_a_value_of_the_wrong_json_type(edit, message):
+    raw = json.loads(four_state_text())
+    edit(raw)
+    with pytest.raises(ValueError) as info:
+        parse_trace_document(json.dumps(raw))
+    assert str(info.value) == f"trace document: {message}"
+
+
+def test_a_step_line_left_open_goes_to_the_json_route():
+    text = four_state_text()
+    text = text[:text.index("]]}")]
+    assert _read_written_trace(text) is None
+    with pytest.raises(ValueError) as info:
+        parse_trace_document(text)
+    assert str(info.value) == (
+        "trace document: invalid JSON at line 6 column 129: Expecting ',' delimiter"
+    )
 
 
 def test_parse_trace_rejects_a_huge_n_without_allocating():
@@ -661,6 +681,21 @@ def test_parse_circuit_rejects_non_finite_literals():
         text = f'{{"format_version": "1", "wires": {literal}, "gates": []}}'
         with pytest.raises(ValueError, match=f"circuit document: {literal} is not a finite number"):
             parse_circuit_document(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "top level must be an object"),
+        ('{"format_version": "1", "wires": 1, "gates": ["NOT"]}', "gates[0]: expected an object"),
+        ('{"format_version": "1", "wires": 2, "gates": [{"type": "CNOT", "target": 1, "controls": 0}]}',
+         "gates[0].controls: expected a list"),
+    ],
+)
+def test_parse_circuit_names_a_value_of_the_wrong_json_type(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_circuit_document(text)
+    assert str(info.value) == f"circuit document: {message}"
 
 
 def test_parse_circuit_diagnostics():

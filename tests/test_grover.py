@@ -476,6 +476,26 @@ def test_traced_run_volume_is_capped_before_simulating():
         GroverConfig(40, Oracle(40, marked={1}))
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda cap: run_grover(GroverConfig(3, Oracle(3, marked={5}), max_qubits=cap), io.StringIO()),
+        lambda cap: classical_baseline(16, {0}, 4, 1000, max_qubits=cap),
+    ],
+    ids=["traced run", "classical baseline"],
+)
+def test_a_huge_cap_is_checked_without_building_its_power_of_two(run):
+    # 2**(10**8) alone would take 12.5 MB.
+    run(24)
+    tracemalloc.start()
+    try:
+        run(10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 @pytest.mark.parametrize("count", [2.5, 2.0, True, np.int64(2)])
 def test_iteration_counts_must_be_int(count):
     oracle = Oracle(2, marked={2})
