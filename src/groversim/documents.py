@@ -9,8 +9,9 @@ byte-identical.
 
 A trace is written one snapshot line at a time, through one writer that a
 TraceDocument and a traced run (grover.run_grover) share, each snapshot
-checked by one rule; rendering is that writer into a string. A snapshot
-formats each distinct amplitude once, by bit pattern.
+checked by one rule; rendering is that writer into a string. The writer
+keeps the previous snapshot's bit patterns and texts, O(2**n), and formats
+only the amplitudes whose bits changed since it, each distinct one once.
 
 A trace is read by one of two routes that give the same document or the
 same error. Text in the writer's own layout is read directly: the head and
@@ -50,21 +51,38 @@ def _format_floats(values: np.ndarray) -> list[str]:
     return out
 
 
-def _format_pairs(amps: np.ndarray) -> str:
-    """The comma-joined "[re,im]" forms of a contiguous complex128 vector.
+class _SnapshotTexts:
+    """What one trace writer keeps of the snapshot it wrote last, so that
+    the next one formats only the amplitudes that changed: a copy of its
+    int64 bit patterns (the engine overwrites its buffers in place) and the
+    "[re,im]" text of each amplitude, O(2**n) in all. The bits start as a
+    NaN pattern, which no unit-norm snapshot holds, so the first snapshot
+    changes every entry."""
 
-    Each distinct amplitude is formatted once: a lexsort of the two int64
-    bit patterns of every amplitude groups equal ones, so -0.0 and +0.0
-    stay apart, and each entry takes its group's string from the table."""
-    bits = amps.view(np.int64).reshape(-1, 2)
-    order = np.lexsort((bits[:, 1], bits[:, 0]))
-    ranked = bits[order]
-    first = np.concatenate(([True], np.any(ranked[1:] != ranked[:-1], axis=1)))
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    parts = _format_floats(amps[order[first]].view(np.float64))
-    table = np.array([f"[{re},{im}]" for re, im in zip(parts[::2], parts[1::2])], dtype=object)
-    return ",".join(table[group].tolist())
+    def __init__(self, size: int) -> None:
+        self.bits = np.full(2 * size, -1, dtype=np.int64)
+        self.texts = np.empty(size, dtype=object)
+
+    def pairs(self, amps: np.ndarray) -> str:
+        """The comma-joined "[re,im]" forms of a contiguous complex128
+        vector of the writer's size.
+
+        Entries are compared by bit pattern, so -0.0 and +0.0 stay apart. A
+        lexsort of the changed entries' bit patterns groups equal ones, each
+        group is formatted once and its text scattered to the group's
+        entries; then all texts are joined."""
+        bits = amps.view(np.int64)
+        changed = np.flatnonzero((bits[0::2] != self.bits[0::2]) | (bits[1::2] != self.bits[1::2]))
+        np.copyto(self.bits, bits)
+        re, im = bits[0::2][changed], bits[1::2][changed]
+        order = np.lexsort((im, re))
+        re, im = re[order], im[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (re[1:] != re[:-1]) | (im[1:] != im[:-1])
+        parts = _format_floats(amps[changed[order[first]]].view(np.float64))
+        table = np.array([f"[{x},{y}]" for x, y in zip(parts[::2], parts[1::2])], dtype=object)
+        self.texts[changed[order]] = table[np.cumsum(first) - 1]
+        return ",".join(self.texts.tolist())
 
 
 @dataclass
@@ -121,9 +139,9 @@ def _write_head(fp: TextIO, n: int, seed: int, algorithm: str = RNG_ALGORITHM) -
     fp.write('  "steps": [')
 
 
-def _write_step(fp: TextIO, i: int, label: str, amps: np.ndarray) -> None:
+def _write_step(fp: TextIO, i: int, label: str, pairs: str) -> None:
     sep = ",\n" if i else "\n"
-    fp.write(f'{sep}    {{"label": {json.dumps(label)}, "amplitudes": [{_format_pairs(amps)}]}}')
+    fp.write(f'{sep}    {{"label": {json.dumps(label)}, "amplitudes": [{pairs}]}}')
 
 
 def _write_tail(fp: TextIO, steps: int, outcome: int, oracle_evals: int) -> None:
@@ -135,10 +153,12 @@ def _write_tail(fp: TextIO, steps: int, outcome: int, oracle_evals: int) -> None
 
 def write_trace_document(doc: TraceDocument, fp: TextIO) -> None:
     """Writes the document's text to fp one snapshot at a time, so at most
-    one snapshot's text is held."""
+    one snapshot's text is held, besides the previous snapshot's bit
+    patterns and per-amplitude texts."""
     _write_head(fp, doc.n, doc.seed, doc.algorithm)
+    texts = _SnapshotTexts(1 << doc.n)
     for i, (label, amps) in enumerate(doc.steps):
-        _write_step(fp, i, label, amps)
+        _write_step(fp, i, label, texts.pairs(amps))
     _write_tail(fp, len(doc.steps), doc.outcome, doc.oracle_evals)
 
 
@@ -232,17 +252,21 @@ def _read_written_trace(text: str) -> TraceDocument | None:
         pos, steps = head.end(), []
         while (step := _STEP.match(text, pos)) and bool(step[1]) == bool(steps):
             start = step.end()
-            end = text.find("]]}", start)
+            # The amplitudes end at the last "]]}" before the line's newline;
+            # text with no newline left cannot match the tail.
+            end = text.rfind("]]}", start, text.find("\n", start))
             if end < 0:
                 return None
             pairs = text[start:end].split("],[")
-            index = dict(zip(dict.fromkeys(pairs), count()))
+            first: dict[str, int] = {}
+            where = np.fromiter(map(first.setdefault, pairs, count()), np.intp, len(pairs))
             distinct = _pack_amplitudes(
-                _load_json("[[" + "],[".join(index) + "]]", "trace document"))
-            if isinstance(distinct, str) or len(distinct) != len(index):
+                _load_json("[[" + "],[".join(first) + "]]", "trace document"))
+            if isinstance(distinct, str) or len(distinct) != len(first):
                 return None
-            gather = np.fromiter(map(index.__getitem__, pairs), np.intp, len(pairs))
-            steps.append((json.loads(step[2]), distinct[gather]))
+            rank = np.empty(len(pairs), dtype=np.intp)
+            rank[np.fromiter(first.values(), np.intp, len(first))] = np.arange(len(first))
+            steps.append((json.loads(step[2]), distinct[rank[where]]))
             pos = end + len("]]}")
         tail = _TAIL.fullmatch(text, pos)
         if tail is None:

@@ -1,6 +1,8 @@
 """Quantum search driver: oracle bookkeeping, the four-step iteration,
 traced runs, oscillation scans, and the classical random-guess baseline.
-A traced run writes each snapshot as the step loop yields it and keeps none.
+A traced run writes each snapshot as the step loop yields it and keeps only
+the previous snapshot's bit patterns and texts, O(2**n), so that it formats
+only the amplitudes each step changed.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from typing import Callable, Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
-from .documents import _snapshot, _write_head, _write_step, _write_tail
+from .documents import _snapshot, _SnapshotTexts, _write_head, _write_step, _write_tail
 from .state import (
     DEFAULT_MAX_QUBITS,
     MAX_INDEX_QUBITS,
@@ -219,11 +221,13 @@ def run_grover(config: GroverConfig, trace: TextIO | None = None) -> SimulationT
                 f"amplitudes and label characters, the {config.max_qubits}-qubit cap"
             )
         _write_head(trace, config.n, config.seed)
+        texts = _SnapshotTexts(1 << config.n)
     evals_before = config.oracle.eval_count
     real = iterations - 1 if trace is None and iterations else 0
     for i, state in enumerate(_step_states(config.n, config.oracle, iterations, real)):
         if trace is not None:
-            _write_step(trace, i, roman_numeral(i + 1), _snapshot(i, state.amps, 1 << config.n))
+            amps = _snapshot(i, state.amps, 1 << config.n)
+            _write_step(trace, i, roman_numeral(i + 1), texts.pairs(amps))
     outcome, _ = measure(state, np.random.default_rng(config.seed))
     oracle_evals = config.oracle.eval_count - evals_before
     if trace is not None:

@@ -90,7 +90,7 @@ class AmplitudeVector:
 def basis_state(n: int, r: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> AmplitudeVector:
     """Unit vector with amplitude 1 on basis index r and 0 elsewhere."""
     _require_qubits(n, max_qubits)
-    size = 1 << n
+    size = 1 << _as_int(n, "n", 1, MAX_INDEX_QUBITS)
     _as_int(r, "r", 0, size - 1)
     amps = np.zeros(size, dtype=np.complex128)
     amps[r] = 1.0
@@ -100,7 +100,7 @@ def basis_state(n: int, r: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> Amplitu
 def uniform_state(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> AmplitudeVector:
     """Equal superposition: every amplitude is 1/sqrt(2**n)."""
     _require_qubits(n, max_qubits)
-    size = 1 << n
+    size = 1 << _as_int(n, "n", 1, MAX_INDEX_QUBITS)
     amps = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
     return AmplitudeVector(n, amps)
 

@@ -25,6 +25,7 @@ from groversim import (
     parse_trace_document,
     render_circuit_document,
     render_trace_document,
+    run_grover,
     write_trace_document,
 )
 import groversim
@@ -110,7 +111,8 @@ def render_differences(doc):
     writes, else the first differing offset with both contexts; a plain ==
     would have pytest diff megabytes of text."""
     got = render_trace_document(doc)
-    with mock.patch("groversim.documents._format_pairs", format_every_value):
+    with mock.patch("groversim.documents._SnapshotTexts.pairs",
+                    lambda texts, amps: format_every_value(amps)):
         want = render_trace_document(doc)
     if got == want:
         return None
@@ -152,6 +154,60 @@ def test_traced_runs_render_as_the_per_value_renderer_does(n):
     marked = {(5 * n) % (1 << n)} if n < 4 else {3, (1 << n) - 2}
     _, doc = traced(GroverConfig(n, Oracle(n, marked=marked), seed=n))
     assert render_differences(doc) is None
+
+
+@st.composite
+def snapshot_sequences(draw):
+    """A repetitive unit vector, then snapshots that each change it exactly,
+    keeping its norm: a few entries negated (as the oracle flips them), two
+    entries swapped, the sign of zero parts flipped, or nothing at all."""
+    n, amps = draw(repetitive_snapshots())
+    steps = [amps]
+    for _ in range(draw(st.integers(1, 6))):
+        amps = amps.copy()
+        parts = amps.view(np.float64)
+        change = draw(st.sampled_from(["negate", "swap", "zero signs", "repeat"]))
+        if change == "negate":
+            picked = draw(st.lists(st.integers(0, amps.size - 1), min_size=1, max_size=3))
+            amps[picked] = -amps[picked]
+        elif change == "swap":
+            i, j = draw(st.integers(0, amps.size - 1)), draw(st.integers(0, amps.size - 1))
+            amps[[i, j]] = amps[[j, i]]
+        elif change == "zero signs":
+            zeros = np.flatnonzero(parts == 0)
+            if zeros.size:
+                picked = draw(st.lists(st.sampled_from(zeros.tolist()), min_size=1))
+                parts[picked] = -parts[picked]
+        steps.append(amps)
+    return n, steps
+
+
+@settings(deadline=None, max_examples=300)
+@given(snapshot_sequences())
+def test_each_snapshot_of_a_sequence_renders_as_the_per_value_renderer_does(sequence):
+    # The writer reformats only the entries whose bits changed since the
+    # snapshot before, so +0.0 and -0.0 must count as a change.
+    n, snapshots = sequence
+    try:
+        doc = TraceDocument(n, 0, [(f"s{i}", amps) for i, amps in enumerate(snapshots)], 0, 0)
+    except ValueError:
+        return  # an all-zero or subnormal pool has no unit-norm scaling
+    assert render_differences(doc) is None
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_the_direct_reader_takes_every_trace_the_writers_write(n):
+    marked = {(3 * n) % (1 << n)} if n < 4 else {1, (1 << n) - 3}
+    run = io.StringIO()
+    run_grover(GroverConfig(n, Oracle(n, marked=marked), seed=n), run)
+    with mock.patch("groversim.documents._parse_trace_json",
+                    wraps=_parse_trace_json) as json_route:
+        doc = parse_trace_document(run.getvalue())
+        written = io.StringIO()
+        write_trace_document(doc, written)
+        assert written.getvalue() == run.getvalue()
+        parse_trace_document(written.getvalue())
+    assert json_route.call_count == 0
 
 
 def test_trace_round_trip_with_empty_steps():

@@ -231,6 +231,23 @@ def test_a_huge_n_is_refused_before_computing_the_size(call):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: basis_state(10**8, 0, max_qubits=10**9), lambda: uniform_state(10**8, max_qubits=10**9)],
+    ids=["basis_state", "uniform_state"],
+)
+def test_a_state_under_a_huge_cap_is_refused_before_computing_the_size(call):
+    # The cap check passes, so the 62-qubit index limit must refuse n before 1 << n.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^n: must be >= 1 and <= 62, got 100000000$"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_index_to_bits_width_stops_at_62():
     with pytest.raises(ValueError, match="^width: must be >= 1 and <= 62, got 63$"):
         index_to_bits(1, 63)
