@@ -10,8 +10,9 @@ byte-identical.
 A trace is written one snapshot line at a time, through one writer that a
 TraceDocument and a traced run (grover.run_grover) share, each snapshot
 checked by one rule; rendering is that writer into a string. The writer
-keeps the previous snapshot's bit patterns and texts, O(2**n), and formats
-only the amplitudes whose bits changed since it, each distinct one once.
+keeps the previous snapshot's bit patterns and texts, O(2**n), sized at
+the first snapshot, and formats only the amplitudes whose bits changed
+since it, each distinct one once.
 
 A trace is read by one of two routes that give the same document or the
 same error. Text in the writer's own layout is read directly: the head and
@@ -49,40 +50,6 @@ def _format_floats(values: np.ndarray) -> list[str]:
     for i in np.flatnonzero(np.signbit(values) & (values == 0)).tolist():
         out[i] = "-0.0"
     return out
-
-
-class _SnapshotTexts:
-    """What one trace writer keeps of the snapshot it wrote last, so that
-    the next one formats only the amplitudes that changed: a copy of its
-    int64 bit patterns (the engine overwrites its buffers in place) and the
-    "[re,im]" text of each amplitude, O(2**n) in all. The bits start as a
-    NaN pattern, which no unit-norm snapshot holds, so the first snapshot
-    changes every entry."""
-
-    def __init__(self, size: int) -> None:
-        self.bits = np.full(2 * size, -1, dtype=np.int64)
-        self.texts = np.empty(size, dtype=object)
-
-    def pairs(self, amps: np.ndarray) -> str:
-        """The comma-joined "[re,im]" forms of a contiguous complex128
-        vector of the writer's size.
-
-        Entries are compared by bit pattern, so -0.0 and +0.0 stay apart. A
-        lexsort of the changed entries' bit patterns groups equal ones, each
-        group is formatted once and its text scattered to the group's
-        entries; then all texts are joined."""
-        bits = amps.view(np.int64)
-        changed = np.flatnonzero((bits[0::2] != self.bits[0::2]) | (bits[1::2] != self.bits[1::2]))
-        np.copyto(self.bits, bits)
-        re, im = bits[0::2][changed], bits[1::2][changed]
-        order = np.lexsort((im, re))
-        re, im = re[order], im[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (re[1:] != re[:-1]) | (im[1:] != im[:-1])
-        parts = _format_floats(amps[changed[order[first]]].view(np.float64))
-        table = np.array([f"[{x},{y}]" for x, y in zip(parts[::2], parts[1::2])], dtype=object)
-        self.texts[changed[order]] = table[np.cumsum(first) - 1]
-        return ",".join(self.texts.tolist())
 
 
 @dataclass
@@ -139,11 +106,6 @@ def _write_head(fp: TextIO, n: int, seed: int, algorithm: str = RNG_ALGORITHM) -
     fp.write('  "steps": [')
 
 
-def _write_step(fp: TextIO, i: int, label: str, pairs: str) -> None:
-    sep = ",\n" if i else "\n"
-    fp.write(f'{sep}    {{"label": {json.dumps(label)}, "amplitudes": [{pairs}]}}')
-
-
 def _write_tail(fp: TextIO, steps: int, outcome: int, oracle_evals: int) -> None:
     fp.write("\n  ],\n" if steps else "],\n")
     fp.write(f'  "outcome": {outcome},\n')
@@ -151,15 +113,62 @@ def _write_tail(fp: TextIO, steps: int, outcome: int, oracle_evals: int) -> None
     fp.write("}\n")
 
 
+class _TraceWriter:
+    """Writes one trace to fp: the head when made, a line per snapshot, the
+    tail on close. It keeps what it wrote of the last snapshot, so that the
+    next formats only the amplitudes that changed: a copy of its int64 bit
+    patterns (the engine overwrites its buffers in place) and each
+    amplitude's "[re,im]" text, O(2**n) in all, made at the first snapshot.
+    The bits start as a NaN pattern, which no unit-norm snapshot holds, so
+    the first snapshot changes every entry."""
+
+    def __init__(self, fp: TextIO, n: int, seed: int, algorithm: str = RNG_ALGORITHM) -> None:
+        _write_head(fp, n, seed, algorithm)
+        self.fp, self.steps = fp, 0
+        self.bits: np.ndarray | None = None
+        self.texts: np.ndarray | None = None
+
+    def step(self, label: str, amps: np.ndarray) -> None:
+        sep = ",\n" if self.steps else "\n"
+        self.fp.write(f'{sep}    {{"label": {json.dumps(label)}, "amplitudes": [{self.pairs(amps)}]}}')
+        self.steps += 1
+
+    def pairs(self, amps: np.ndarray) -> str:
+        """The comma-joined "[re,im]" forms of a contiguous complex128
+        snapshot.
+
+        Entries are compared by bit pattern, so -0.0 and +0.0 stay apart. A
+        lexsort of the changed entries' bit patterns groups equal ones, each
+        group is formatted once and its text scattered to the group's
+        entries; then all texts are joined."""
+        bits = amps.view(np.int64)
+        if self.bits is None:
+            self.bits = np.full(len(bits), -1, dtype=np.int64)
+            self.texts = np.empty(len(amps), dtype=object)
+        changed = np.flatnonzero((bits[0::2] != self.bits[0::2]) | (bits[1::2] != self.bits[1::2]))
+        np.copyto(self.bits, bits)
+        re, im = bits[0::2][changed], bits[1::2][changed]
+        order = np.lexsort((im, re))
+        re, im = re[order], im[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (re[1:] != re[:-1]) | (im[1:] != im[:-1])
+        parts = _format_floats(amps[changed[order[first]]].view(np.float64))
+        table = np.array([f"[{x},{y}]" for x, y in zip(parts[::2], parts[1::2])], dtype=object)
+        self.texts[changed[order]] = table[np.cumsum(first) - 1]
+        return ",".join(self.texts.tolist())
+
+    def close(self, outcome: int, oracle_evals: int) -> None:
+        _write_tail(self.fp, self.steps, outcome, oracle_evals)
+
+
 def write_trace_document(doc: TraceDocument, fp: TextIO) -> None:
     """Writes the document's text to fp one snapshot at a time, so at most
-    one snapshot's text is held, besides the previous snapshot's bit
-    patterns and per-amplitude texts."""
-    _write_head(fp, doc.n, doc.seed, doc.algorithm)
-    texts = _SnapshotTexts(1 << doc.n)
-    for i, (label, amps) in enumerate(doc.steps):
-        _write_step(fp, i, label, texts.pairs(amps))
-    _write_tail(fp, len(doc.steps), doc.outcome, doc.oracle_evals)
+    one snapshot's text is held, besides the last snapshot's bit patterns
+    and per-amplitude texts."""
+    writer = _TraceWriter(fp, doc.n, doc.seed, doc.algorithm)
+    for label, amps in doc.steps:
+        writer.step(label, amps)
+    writer.close(doc.outcome, doc.oracle_evals)
 
 
 def _rendered(write: Callable[..., None], *args: Any) -> str:

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
-from .documents import _snapshot, _SnapshotTexts, _write_head, _write_step, _write_tail
+from .documents import _snapshot, _TraceWriter
 from .state import (
     DEFAULT_MAX_QUBITS,
     MAX_INDEX_QUBITS,
@@ -220,18 +220,16 @@ def run_grover(config: GroverConfig, trace: TextIO | None = None) -> SimulationT
                 f"a trace of {snapshots} snapshots at n={config.n} exceeds 2**{config.max_qubits} "
                 f"amplitudes and label characters, the {config.max_qubits}-qubit cap"
             )
-        _write_head(trace, config.n, config.seed)
-        texts = _SnapshotTexts(1 << config.n)
+        writer = _TraceWriter(trace, config.n, config.seed)
     evals_before = config.oracle.eval_count
     real = iterations - 1 if trace is None and iterations else 0
     for i, state in enumerate(_step_states(config.n, config.oracle, iterations, real)):
         if trace is not None:
-            amps = _snapshot(i, state.amps, 1 << config.n)
-            _write_step(trace, i, roman_numeral(i + 1), texts.pairs(amps))
+            writer.step(roman_numeral(i + 1), _snapshot(i, state.amps, 1 << config.n))
     outcome, _ = measure(state, np.random.default_rng(config.seed))
     oracle_evals = config.oracle.eval_count - evals_before
     if trace is not None:
-        _write_tail(trace, i + 1, outcome, oracle_evals)
+        writer.close(outcome, oracle_evals)
     return SimulationTrace(
         n=config.n,
         iterations=iterations,

@@ -111,8 +111,8 @@ def render_differences(doc):
     writes, else the first differing offset with both contexts; a plain ==
     would have pytest diff megabytes of text."""
     got = render_trace_document(doc)
-    with mock.patch("groversim.documents._SnapshotTexts.pairs",
-                    lambda texts, amps: format_every_value(amps)):
+    with mock.patch("groversim.documents._TraceWriter.pairs",
+                    lambda writer, amps: format_every_value(amps)):
         want = render_trace_document(doc)
     if got == want:
         return None
@@ -217,7 +217,20 @@ def test_trace_round_trip_with_empty_steps():
     assert render_trace_document(parsed) == text
 
 
-INT_FIELDS = ("n", "seed", "outcome", "oracle_evals")
+def test_a_trace_with_no_steps_renders_and_parses_in_little_memory_at_any_n():
+    # The writer sizes what it keeps of a snapshot at the first one, so an
+    # empty trace costs nothing of its 2**n.
+    tracemalloc.start()
+    try:
+        text = render_trace_document(TraceDocument(62, 0, [], 0, 0))
+        assert render_trace_document(parse_trace_document(text)) == text
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+INT_FIELDS =("n", "seed", "outcome", "oracle_evals")
 
 
 @st.composite
