@@ -1,22 +1,22 @@
 """On-disk JSON formats for simulation traces and reversible circuits.
 
 Both formats carry format_version "1". The constructors (TraceDocument;
-Gate and ReversibleCircuit) check every rule of a document, the parsers
-check JSON types and name the offending field, and the renderers only
-format. Floats take 17 significant digits, so a write-read cycle keeps
-every double, and the layout is fixed, so equal documents are
-byte-identical.
+Gate and ReversibleCircuit) check every rule of a document, and the
+parsers check JSON types and name the offending field. Floats take 17
+significant digits, so a write-read cycle keeps every double, and each
+layout is a fixed string template, so equal documents are byte-identical.
 
 A trace is written one snapshot line at a time, through one writer that a
-TraceDocument and a traced run (grover.run_grover) share, each snapshot
-checked by one rule; rendering is that writer into a string. The writer
-keeps the previous snapshot's bit patterns and texts, O(2**n), sized at
-the first snapshot, and formats only the amplitudes whose bits changed
-since it, each distinct one once.
+TraceDocument and a traced run (grover.run_grover) share; rendering is that
+writer into a string. It checks each snapshot by the constructor's rule, so
+a document changed after it was built is refused, not written (a circuit
+is frozen, so its renderer only formats). It keeps the previous snapshot's
+bit patterns and texts, O(2**n), sized at the first snapshot, and formats
+only the amplitudes whose bits changed since it, each distinct one once.
 
 A trace is read by one of two routes that give the same document or the
 same error. Text in the writer's own layout is read directly: the head and
-the tail are accepted only if the writer re-renders them byte for byte,
+the tail are accepted only if their templates give them back byte for byte,
 and each step line's distinct "[re,im]" texts are decoded once, by json,
 in one call. Any other text, and any text the direct reader declines, goes
 through json.loads, whose object hook packs each amplitude list as soon as
@@ -98,39 +98,37 @@ def _snapshot(i: int, amps: Any, size: int) -> np.ndarray:
     return amps
 
 
-def _write_head(fp: TextIO, n: int, seed: int, algorithm: str = RNG_ALGORITHM) -> None:
-    fp.write("{\n")
-    fp.write(f'  "format_version": {json.dumps(TRACE_FORMAT_VERSION)},\n')
-    fp.write(f'  "n": {n},\n')
-    fp.write(f'  "rng": {{"algorithm": {json.dumps(algorithm)}, "seed": {seed}}},\n')
-    fp.write('  "steps": [')
+def _head(n: int, seed: int, algorithm: str) -> str:
+    return (f'{{\n  "format_version": {json.dumps(TRACE_FORMAT_VERSION)},\n  "n": {n},\n'
+            f'  "rng": {{"algorithm": {json.dumps(algorithm)}, "seed": {seed}}},\n  "steps": [')
 
 
-def _write_tail(fp: TextIO, steps: int, outcome: int, oracle_evals: int) -> None:
-    fp.write("\n  ],\n" if steps else "],\n")
-    fp.write(f'  "outcome": {outcome},\n')
-    fp.write(f'  "oracle_evals": {oracle_evals}\n')
-    fp.write("}\n")
+def _tail(steps: int, outcome: int, oracle_evals: int) -> str:
+    end = "\n  ]" if steps else "]"
+    return f'{end},\n  "outcome": {outcome},\n  "oracle_evals": {oracle_evals}\n}}\n'
 
 
 class _TraceWriter:
-    """Writes one trace to fp: the head when made, a line per snapshot, the
-    tail on close. It keeps what it wrote of the last snapshot, so that the
-    next formats only the amplitudes that changed: a copy of its int64 bit
-    patterns (the engine overwrites its buffers in place) and each
-    amplitude's "[re,im]" text, O(2**n) in all, made at the first snapshot.
-    The bits start as a NaN pattern, which no unit-norm snapshot holds, so
-    the first snapshot changes every entry."""
+    """Writes one trace to fp: the head when made, a line per snapshot that
+    the TraceDocument rule (_snapshot) passes, the tail on close. It keeps
+    what it wrote of the last snapshot, so that the next formats only the
+    amplitudes that changed: a copy of its int64 bit patterns (the engine
+    overwrites its buffers in place) and each amplitude's "[re,im]" text,
+    O(2**n) in all, made at the first snapshot. The bits start as a NaN
+    pattern, which no unit-norm snapshot holds, so the first snapshot
+    changes every entry."""
 
     def __init__(self, fp: TextIO, n: int, seed: int, algorithm: str = RNG_ALGORITHM) -> None:
-        _write_head(fp, n, seed, algorithm)
+        self.size = 1 << _as_int(n, "n", 1, MAX_INDEX_QUBITS)
+        fp.write(_head(n, seed, algorithm))
         self.fp, self.steps = fp, 0
         self.bits: np.ndarray | None = None
         self.texts: np.ndarray | None = None
 
-    def step(self, label: str, amps: np.ndarray) -> None:
+    def step(self, label: str, amps: Any) -> None:
+        pairs = self.pairs(_snapshot(self.steps, amps, self.size))
         sep = ",\n" if self.steps else "\n"
-        self.fp.write(f'{sep}    {{"label": {json.dumps(label)}, "amplitudes": [{self.pairs(amps)}]}}')
+        self.fp.write(f'{sep}    {{"label": {json.dumps(label)}, "amplitudes": [{pairs}]}}')
         self.steps += 1
 
     def pairs(self, amps: np.ndarray) -> str:
@@ -158,7 +156,7 @@ class _TraceWriter:
         return ",".join(self.texts.tolist())
 
     def close(self, outcome: int, oracle_evals: int) -> None:
-        _write_tail(self.fp, self.steps, outcome, oracle_evals)
+        self.fp.write(_tail(self.steps, outcome, oracle_evals))
 
 
 def write_trace_document(doc: TraceDocument, fp: TextIO) -> None:
@@ -171,14 +169,10 @@ def write_trace_document(doc: TraceDocument, fp: TextIO) -> None:
     writer.close(doc.outcome, doc.oracle_evals)
 
 
-def _rendered(write: Callable[..., None], *args: Any) -> str:
-    out = io.StringIO()
-    write(out, *args)
-    return out.getvalue()
-
-
 def render_trace_document(doc: TraceDocument) -> str:
-    return _rendered(lambda out: write_trace_document(doc, out))
+    out = io.StringIO()
+    write_trace_document(doc, out)
+    return out.getvalue()
 
 
 def _load_json(text: str, where: str, object_hook: Callable[[dict], Any] | None = None) -> Any:
@@ -256,7 +250,7 @@ def _read_written_trace(text: str) -> TraceDocument | None:
         if head is None:
             return None
         n, algorithm, seed = int(head[1]), json.loads(head[2]), int(head[3])
-        if _rendered(_write_head, n, seed, algorithm) != head[0]:
+        if _head(n, seed, algorithm) != head[0]:
             return None
         pos, steps = head.end(), []
         while (step := _STEP.match(text, pos)) and bool(step[1]) == bool(steps):
@@ -281,7 +275,7 @@ def _read_written_trace(text: str) -> TraceDocument | None:
         if tail is None:
             return None
         outcome, evals = int(tail[1]), int(tail[2])
-        if _rendered(_write_tail, len(steps), outcome, evals) != tail[0]:
+        if _tail(len(steps), outcome, evals) != tail[0]:
             return None
         return TraceDocument(n, seed, steps, outcome, evals, algorithm)
     except (ValueError, RecursionError):
@@ -298,9 +292,7 @@ def _parse_trace_json(text: str | bytes) -> TraceDocument:
     rng = raw.get("rng")
     if not isinstance(rng, dict):
         raise ValueError(f"{where}: rng: expected an object")
-    algorithm = rng.get("algorithm")
-    if not isinstance(algorithm, str):
-        raise ValueError(f"{where}: rng.algorithm: expected a string, got {algorithm!r}")
+    algorithm = _require_str(rng.get("algorithm"), f"{where}: rng.algorithm")
     seed = _as_int(rng.get("seed"), f"{where}: rng.seed")
     steps_raw = raw.get("steps")
     if not isinstance(steps_raw, list):
@@ -310,9 +302,7 @@ def _parse_trace_json(text: str | bytes) -> TraceDocument:
         spot = f"{where}: steps[{i}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{spot}: expected an object")
-        label = entry.get("label")
-        if not isinstance(label, str):
-            raise ValueError(f"{spot}.label: expected a string, got {label!r}")
+        label = _require_str(entry.get("label"), f"{spot}.label")
         amps = entry.get("amplitudes", "amplitudes: expected a list")
         if isinstance(amps, str):
             raise ValueError(f"{spot}.{amps}")
@@ -326,25 +316,11 @@ def _parse_trace_json(text: str | bytes) -> TraceDocument:
 
 
 def render_circuit_document(circuit: ReversibleCircuit) -> str:
-    lines = [
-        "{",
-        f'  "format_version": {json.dumps(CIRCUIT_FORMAT_VERSION)},',
-        f'  "wires": {circuit.wires},',
-    ]
-    if circuit.gates:
-        lines.append('  "gates": [')
-        for i, gate in enumerate(circuit.gates):
-            controls = ", ".join(str(c) for c in gate.controls)
-            comma = "," if i + 1 < len(circuit.gates) else ""
-            lines.append(
-                f'    {{"type": {json.dumps(gate.kind)}, "target": {gate.target}, '
-                f'"controls": [{controls}]}}{comma}'
-            )
-        lines.append("  ]")
-    else:
-        lines.append('  "gates": []')
-    lines.append("}\n")
-    return "\n".join(lines)
+    lines = ",\n".join(f'    {{"type": {json.dumps(g.kind)}, "target": {g.target}, '
+                       f'"controls": [{", ".join(map(str, g.controls))}]}}' for g in circuit.gates)
+    gates = f"\n{lines}\n  " if lines else ""
+    return (f'{{\n  "format_version": {json.dumps(CIRCUIT_FORMAT_VERSION)},\n'
+            f'  "wires": {circuit.wires},\n  "gates": [{gates}]\n}}\n')
 
 
 def parse_circuit_document(text: str) -> ReversibleCircuit:
@@ -362,9 +338,7 @@ def parse_circuit_document(text: str) -> ReversibleCircuit:
         spot = f"{where}: gates[{i}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{spot}: expected an object")
-        kind = entry.get("type")
-        if not isinstance(kind, str):
-            raise ValueError(f"{spot}.type: expected a string, got {kind!r}")
+        kind = _require_str(entry.get("type"), f"{spot}.type")
         target = _as_int(entry.get("target"), f"{spot}.target", minimum=0)
         controls_raw = entry.get("controls", [])
         if not isinstance(controls_raw, list):

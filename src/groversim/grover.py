@@ -1,8 +1,9 @@
 """Quantum search driver: oracle bookkeeping, the four-step iteration,
 traced runs, oscillation scans, and the classical random-guess baseline.
-A traced run writes each snapshot as the step loop yields it and keeps only
-the previous snapshot's bit patterns and texts, O(2**n), so that it formats
-only the amplitudes each step changed.
+A traced run hands each snapshot, as the step loop yields it, to the trace
+writer of groversim.documents, which checks it by the TraceDocument rule
+and keeps only the previous snapshot's bit patterns and texts, O(2**n), so
+that it formats only the amplitudes each step changed.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import Callable, Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
-from .documents import _snapshot, _TraceWriter
+from .documents import _TraceWriter
 from .state import (
     DEFAULT_MAX_QUBITS,
     MAX_INDEX_QUBITS,
@@ -202,7 +203,8 @@ def run_grover(config: GroverConfig, trace: TextIO | None = None) -> SimulationT
     iteration the resolved number of times, then measures with a fresh
     generator seeded from config.seed. Given a text file, trace receives
     the run's trace document as the run goes: the initialized state and
-    every step of every iteration, each checked as TraceDocument checks it.
+    every step of every iteration, each checked by the writer as
+    TraceDocument checks it.
     A trace of more than 2**max_qubits amplitudes and label characters in
     all raises ResourceLimitError before anything is written or allocated.
 
@@ -225,7 +227,7 @@ def run_grover(config: GroverConfig, trace: TextIO | None = None) -> SimulationT
     real = iterations - 1 if trace is None and iterations else 0
     for i, state in enumerate(_step_states(config.n, config.oracle, iterations, real)):
         if trace is not None:
-            writer.step(roman_numeral(i + 1), _snapshot(i, state.amps, 1 << config.n))
+            writer.step(roman_numeral(i + 1), state.amps)
     outcome, _ = measure(state, np.random.default_rng(config.seed))
     oracle_evals = config.oracle.eval_count - evals_before
     if trace is not None:
@@ -313,8 +315,9 @@ def classical_baseline(
     replacement) and succeeds if any of them is marked. The analytic value
     is 1 - (1 - |marked|/size)**iterations. A size-entry lookup table finds
     the hits, so a size above 2**max_qubits raises ResourceLimitError
-    before anything is allocated; so do more than 2**(max_qubits + 4)
-    draws in all (iterations * trials), before any is drawn.
+    before anything is allocated, and one under it above 2**62 ValueError;
+    more than 2**(max_qubits + 4) draws in all (iterations * trials) raise
+    ResourceLimitError before any is drawn.
     """
     _as_int(size, "size", 1)
     _as_int(iterations, "iterations", 0)
@@ -323,6 +326,7 @@ def classical_baseline(
     _as_int(max_qubits, "max_qubits", 1)
     if _above_power_of_two(size, max_qubits):
         raise ResourceLimitError(f"size {size} exceeds 2**{max_qubits}, the {max_qubits}-qubit cap")
+    _as_int(size, "size", 1, 1 << MAX_INDEX_QUBITS)
     if _above_power_of_two(iterations * trials, max_qubits + 4):
         raise ResourceLimitError(
             f"{iterations} * {trials} draws exceed 2**{max_qubits + 4}, "

@@ -212,7 +212,9 @@ def circuit_to_permutation(
     in the AND of two. One 8x8 bit transpose of the planes of wires
     8g..8g+7 gives byte g of 8 consecutive entries of the explicitly
     little-endian table, which a big-endian host builds the same. The lift
-    allocates 8 bytes per input for the table and 1 per group of 8 wires.
+    allocates 8 bytes per input for the table and 1 per group of 8 wires;
+    over the cap it raises ResourceLimitError, and under it over 62 wires
+    (the int64 index limit) ValueError, before any is allocated.
 
     Every gate flips its target under a condition that does not read the
     target, so the table is a bijection by construction and is not
@@ -221,7 +223,7 @@ def circuit_to_permutation(
     cap = _as_int(max_wires, "max_wires", 1)
     if circuit.wires > cap:
         raise ResourceLimitError(f"circuit has {circuit.wires} wires; cap is {cap}")
-    size = 1 << circuit.wires
+    size = 1 << _as_int(circuit.wires, "wires", 1, MAX_INDEX_QUBITS)
     groups = -(-circuit.wires // 8)
     planes = np.zeros((8 * groups, max(size, 8) >> 3), dtype=np.uint8)
     planes[:3] = [[0xAA], [0xCC], [0xF0]]

@@ -459,6 +459,26 @@ def test_circuit_verify_cap_exits_3(tmp_path, monkeypatch, capsys):
     assert "cap is 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["circuit", "verify", "wide.json"], "wires: must be >= 1 and <= 62, got 70"),
+        (["classical", "--size", str(1 << 70), "--iterations", "1", "--trials", "1"],
+         f"size: must be >= 1 and <= {1 << 62}, got {1 << 70}"),
+    ],
+    ids=["circuit-verify", "classical"],
+)
+def test_more_than_62_index_bits_under_the_cap_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "100")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wide.json").write_text(
+        render_circuit_document(ReversibleCircuit(70, (Gate.cnot(0, 69),))), encoding="utf-8")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_circuit_verify_sixteen_wires(tmp_path, capsys):
     rng = np.random.default_rng(16)
     gates = []

@@ -36,6 +36,7 @@ from groversim.documents import (
     _parse_trace_json,
     _read_written_trace,
 )
+from groversim.reversible import GATE_CONTROL_COUNTS
 from tracing import traced
 
 ADDER_DOC = """{
@@ -224,6 +225,57 @@ def test_a_trace_with_no_steps_renders_and_parses_in_little_memory_at_any_n():
     try:
         text = render_trace_document(TraceDocument(62, 0, [], 0, 0))
         assert render_trace_document(parse_trace_document(text)) == text
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def one_qubit_document(amps):
+    """A valid n=1 document whose one step is then replaced by amps, past
+    the constructor's checks."""
+    doc = TraceDocument(1, 0, [("i", [1, 0])], 0, 0)
+    doc.steps[0] = ("i", amps)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "amps, message",
+    [
+        (np.array([np.nan, 0j]), "steps[0]: snapshot norm differs from 1 by nan"),
+        (np.array([0.6, 0.8, 0j]), "steps[0].amplitudes: has shape (3,), expected (2,)"),
+    ],
+    ids=["nan", "length-3"],
+)
+def test_the_writer_refuses_a_snapshot_the_constructor_refuses(amps, message):
+    with pytest.raises(ValueError) as built:
+        TraceDocument(1, 0, [("i", amps)], 0, 0)
+    with pytest.raises(ValueError) as written:
+        write_trace_document(one_qubit_document(amps), io.StringIO())
+    assert str(written.value) == str(built.value) == message
+
+
+@pytest.mark.parametrize(
+    "amps",
+    [
+        np.array([0.6, 0.8]),
+        np.array([0.6, 9, 0.8j, 9])[::2],
+        np.array([0.5 + 0.5j, -0.5 + 0.5j], dtype=np.complex64),
+    ],
+    ids=["float64", "strided-complex128", "complex64"],
+)
+def test_the_writer_renders_any_array_the_constructor_takes_as_built(amps):
+    built = TraceDocument(1, 0, [("i", amps)], 0, 0)
+    assert render_trace_document(one_qubit_document(amps)) == render_trace_document(built)
+
+
+def test_the_writer_refuses_a_huge_n_set_after_construction_in_little_memory():
+    doc = TraceDocument(1, 0, [], 0, 0)
+    doc.n = 10**9
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^n: must be >= 1 and <= 62, got 1000000000$"):
+            render_trace_document(doc)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -727,6 +779,48 @@ def test_circuit_render_golden():
 def test_circuit_round_trip():
     circuit = adder_circuit()
     text = render_circuit_document(circuit)
+    parsed = parse_circuit_document(text)
+    assert parsed == circuit
+    assert render_circuit_document(parsed) == text
+
+
+def render_circuit_lines(circuit):
+    """The line-list circuit renderer the one-template renderer replaced."""
+    lines = ["{", '  "format_version": "1",', f'  "wires": {circuit.wires},']
+    if circuit.gates:
+        lines.append('  "gates": [')
+        for i, gate in enumerate(circuit.gates):
+            controls = ", ".join(str(c) for c in gate.controls)
+            comma = "," if i + 1 < len(circuit.gates) else ""
+            lines.append(
+                f'    {{"type": {json.dumps(gate.kind)}, "target": {gate.target}, '
+                f'"controls": [{controls}]}}{comma}'
+            )
+        lines.append("  ]")
+    else:
+        lines.append('  "gates": []')
+    lines.append("}\n")
+    return "\n".join(lines)
+
+
+@st.composite
+def circuits(draw):
+    """1-8 wires and 0-12 gates, each of a kind that fits the wires."""
+    wires = draw(st.integers(1, 8))
+    kinds = [kind for kind, count in GATE_CONTROL_COUNTS.items() if count < wires]
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        touched = draw(st.permutations(range(wires)))[:GATE_CONTROL_COUNTS[kind] + 1]
+        gates.append(Gate(kind, touched[0], tuple(touched[1:])))
+    return ReversibleCircuit(wires, tuple(gates))
+
+
+@settings(deadline=None, max_examples=300)
+@given(circuits())
+def test_every_circuit_renders_as_the_line_list_renderer_did_and_round_trips(circuit):
+    text = render_circuit_document(circuit)
+    assert text == render_circuit_lines(circuit)
     parsed = parse_circuit_document(text)
     assert parsed == circuit
     assert render_circuit_document(parsed) == text

@@ -252,3 +252,26 @@ def test_index_to_bits_width_stops_at_62():
     with pytest.raises(ValueError, match="^width: must be >= 1 and <= 62, got 63$"):
         index_to_bits(1, 63)
     assert index_to_bits((1 << 62) - 1, 62) == [1] * 62
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: circuit_to_permutation(ReversibleCircuit(63, ()), 100),
+         "wires: must be >= 1 and <= 62, got 63"),
+        (lambda: classical_baseline(1 << 70, {0}, 1, 1, max_qubits=100),
+         f"size: must be >= 1 and <= {1 << 62}, got {1 << 70}"),
+    ],
+    ids=["circuit_to_permutation", "classical_baseline"],
+)
+def test_the_lift_and_the_baseline_under_a_huge_cap_stop_at_62_index_bits(call, message):
+    # The cap check passes, so the 62-bit index limit must refuse the size
+    # before a table of that many entries is asked for.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
