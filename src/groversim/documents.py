@@ -8,19 +8,24 @@ layout is a fixed string template, so equal documents are byte-identical.
 
 A trace is written one snapshot line at a time, through one writer that a
 TraceDocument and a traced run (grover.run_grover) share; rendering is that
-writer into a string. It checks each snapshot by the constructor's rule, so
-a document changed after it was built is refused, not written (a circuit
-is frozen, so its renderer only formats). It keeps the previous snapshot's
-bit patterns and texts, O(2**n), sized at the first snapshot, and formats
-only the amplitudes whose bits changed since it, each distinct one once.
+writer into a string. It checks each field and snapshot by the
+constructor's rules, so a document changed after it was built is refused,
+not written (a circuit is frozen, so its renderer only formats). It keeps
+the previous snapshot's bit patterns and texts, O(2**n), sized at the
+first snapshot, and formats only the amplitudes whose bits changed since
+it, each distinct one once.
 
 A trace is read by one of two routes that give the same document or the
 same error. Text in the writer's own layout is read directly: the head and
 the tail are accepted only if their templates give them back byte for byte,
-and each step line's distinct "[re,im]" texts are decoded once, by json,
-in one call. Any other text, and any text the direct reader declines, goes
-through json.loads, whose object hook packs each amplitude list as soon as
-its step closes; that route is the reference and words every error.
+and each step line is read as a change from the one before. The "[re,im]"
+texts the two lines share at both ends keep the amplitudes already decoded,
+and of the texts between, each distinct one is decoded once, by json, in
+one call; the zero flip, and the flip of one marked state, change one
+amplitude, so their lines cost about one pair. Any other text, and any
+text the direct reader declines, goes through json.loads, whose object
+hook packs each amplitude list as soon as its step closes; that route is
+the reference and words every error.
 """
 from __future__ import annotations
 
@@ -109,23 +114,27 @@ def _tail(steps: int, outcome: int, oracle_evals: int) -> str:
 
 
 class _TraceWriter:
-    """Writes one trace to fp: the head when made, a line per snapshot that
-    the TraceDocument rule (_snapshot) passes, the tail on close. It keeps
-    what it wrote of the last snapshot, so that the next formats only the
-    amplitudes that changed: a copy of its int64 bit patterns (the engine
-    overwrites its buffers in place) and each amplitude's "[re,im]" text,
-    O(2**n) in all, made at the first snapshot. The bits start as a NaN
-    pattern, which no unit-norm snapshot holds, so the first snapshot
-    changes every entry."""
+    """Writes one trace to fp: the head when made, a line per snapshot, the
+    tail on close. Each checks its fields by the TraceDocument rules, the
+    same messages included, before it writes, so what it writes is text
+    the parser takes back. It keeps what it wrote of the last snapshot, so
+    that the next formats only the amplitudes that changed: a copy of its
+    int64 bit patterns (the engine overwrites its buffers in place) and
+    each amplitude's "[re,im]" text, O(2**n) in all, made at the first
+    snapshot. The bits start as a NaN pattern, which no unit-norm snapshot
+    holds, so the first snapshot changes every entry."""
 
     def __init__(self, fp: TextIO, n: int, seed: int, algorithm: str = RNG_ALGORITHM) -> None:
         self.size = 1 << _as_int(n, "n", 1, MAX_INDEX_QUBITS)
+        _as_int(seed, "seed")
+        _require_str(algorithm, "rng.algorithm")
         fp.write(_head(n, seed, algorithm))
         self.fp, self.steps = fp, 0
         self.bits: np.ndarray | None = None
         self.texts: np.ndarray | None = None
 
     def step(self, label: str, amps: Any) -> None:
+        _require_str(label, f"steps[{self.steps}].label")
         pairs = self.pairs(_snapshot(self.steps, amps, self.size))
         sep = ",\n" if self.steps else "\n"
         self.fp.write(f'{sep}    {{"label": {json.dumps(label)}, "amplitudes": [{pairs}]}}')
@@ -156,6 +165,8 @@ class _TraceWriter:
         return ",".join(self.texts.tolist())
 
     def close(self, outcome: int, oracle_evals: int) -> None:
+        _as_int(outcome, "outcome", 0, self.size - 1)
+        _as_int(oracle_evals, "oracle_evals", 0)
         self.fp.write(_tail(self.steps, outcome, oracle_evals))
 
 
@@ -238,13 +249,61 @@ _STEP = re.compile(r'(,?)\n    \{"label": ("(?:[^"\\\n]|\\.)*"), "amplitudes": \
 _TAIL = re.compile(r'(?:\n  )?\],\n  "outcome": (-?[0-9]+),\n  "oracle_evals": (-?[0-9]+)\n\}\n')
 
 
+def _shared_run(text: str, a: int, b: int, limit: int, backward: bool) -> int:
+    """How many characters, at most limit, text shares at offsets a and b:
+    going forward from both, or backward up to both. Chunks start at 64
+    characters and double while they match; the first that differs is then
+    halved down to the first character that differs."""
+    done, width, growing = 0, 64, True
+    while width and done < limit:
+        stop = min(done + width, limit)
+        if backward:
+            same = text.startswith(text[a - stop:a - done], b - stop)
+        else:
+            same = text.startswith(text[a + done:a + stop], b + done)
+        if same:
+            done = stop
+            if growing:
+                width *= 2
+                continue
+        else:
+            growing = False
+        width //= 2
+    return done
+
+
+def _decode_pairs(pairs: list[str]) -> np.ndarray | None:
+    """The amplitudes of pair texts, each distinct one decoded once in one
+    json call, or None unless that call yields one [re, im] pair of numbers
+    per distinct text."""
+    first: dict[str, int] = {}
+    where = np.fromiter(map(first.setdefault, pairs, count()), np.intp, len(pairs))
+    distinct = _pack_amplitudes(_load_json("[[" + "],[".join(first) + "]]", "trace document"))
+    if isinstance(distinct, str) or len(distinct) != len(first):
+        return None
+    rank = np.empty(len(pairs), dtype=np.intp)
+    rank[np.fromiter(first.values(), np.intp, len(first))] = np.arange(len(first))
+    return distinct[rank[where]]
+
+
 def _read_written_trace(text: str) -> TraceDocument | None:
     """The document in text if every part of it is in the writer's layout,
-    else None. The head and tail must re-render byte for byte. A step line's
-    pair texts are split on "],[" and each distinct one is decoded once, in
-    one json call; if that call yields one [re, im] pair of numbers per
-    distinct text, no text held a bracket, so each is exactly one pair of
-    the JSON text and decodes as json.loads of the whole would decode it."""
+    else None. The head and tail must re-render byte for byte.
+
+    A step line's amplitude text is its pair texts joined by "],[". Each
+    distinct pair text is decoded once, in one json call; if that call
+    yields one [re, im] pair of numbers per distinct text, no text held a
+    bracket, so each is exactly one pair of the JSON text and decodes as
+    json.loads of the whole would decode it.
+
+    Each line after the first is read as a change from the line before.
+    The longest run of text the two share at the start is cut back to its
+    last "],[", and the run they share at the end to its first. "],[" cannot
+    overlap itself, so each separator in those runs is a separator of both
+    lines, and the pair texts before the first cut and after the second are
+    the same texts in both. They were decoded and checked with the line
+    before, so its amplitudes are reused for them, and only the pair texts
+    between the cuts are split and decoded."""
     try:
         head = _HEAD.match(text)
         if head is None:
@@ -260,16 +319,26 @@ def _read_written_trace(text: str) -> TraceDocument | None:
             end = text.rfind("]]}", start, text.find("\n", start))
             if end < 0:
                 return None
-            pairs = text[start:end].split("],[")
-            first: dict[str, int] = {}
-            where = np.fromiter(map(first.setdefault, pairs, count()), np.intp, len(pairs))
-            distinct = _pack_amplitudes(
-                _load_json("[[" + "],[".join(first) + "]]", "trace document"))
-            if isinstance(distinct, str) or len(distinct) != len(first):
+            lo, hi, before, after = start, end, 0, 0
+            if steps:
+                limit = min(end - start, last_end - last_start)
+                shared = _shared_run(text, last_start, start, limit, False)
+                cut = text.rfind("],[", last_start, last_start + shared)
+                if cut >= 0:
+                    cut += len("],[")
+                    before, lo = text.count("],[", last_start, cut), start + (cut - last_start)
+                shared = _shared_run(text, last_end, end, limit - shared, True)
+                cut = text.find("],[", last_end - shared, last_end)
+                if cut >= 0:
+                    after, hi = text.count("],[", cut, last_end), end - (last_end - cut)
+            changed = _decode_pairs(text[lo:hi].split("],["))
+            if changed is None:
                 return None
-            rank = np.empty(len(pairs), dtype=np.intp)
-            rank[np.fromiter(first.values(), np.intp, len(first))] = np.arange(len(first))
-            steps.append((json.loads(step[2]), distinct[rank[where]]))
+            if before or after:
+                last = steps[-1][1]
+                changed = np.concatenate((last[:before], changed, last[len(last) - after:]))
+            steps.append((json.loads(step[2]), changed))
+            last_start, last_end = start, end
             pos = end + len("]]}")
         tail = _TAIL.fullmatch(text, pos)
         if tail is None:

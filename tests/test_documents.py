@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import io
 import json
@@ -196,6 +197,23 @@ def test_each_snapshot_of_a_sequence_renders_as_the_per_value_renderer_does(sequ
     assert render_differences(doc) is None
 
 
+@settings(deadline=None, max_examples=300)
+@given(snapshot_sequences())
+def test_the_direct_reader_reads_each_snapshot_of_a_sequence_as_json_does(sequence):
+    # Each step line is read as a change from the one before, reusing the
+    # amplitudes of the pair texts the two lines share at both ends.
+    n, snapshots = sequence
+    try:
+        doc = TraceDocument(n, 0, [(f"s{i}", amps) for i, amps in enumerate(snapshots)], 0, 0)
+    except ValueError:
+        return  # an all-zero or subnormal pool has no unit-norm scaling
+    text = render_trace_document(doc)
+    direct = _read_written_trace(text)
+    assert direct is not None
+    assert_same_document(direct, _parse_trace_json(text))
+    assert_same_document(direct, doc)
+
+
 @pytest.mark.parametrize("n", range(1, 12))
 def test_the_direct_reader_takes_every_trace_the_writers_write(n):
     marked = {(3 * n) % (1 << n)} if n < 4 else {1, (1 << n) - 3}
@@ -280,6 +298,31 @@ def test_the_writer_refuses_a_huge_n_set_after_construction_in_little_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", True, "seed: expected an integer, got True"),
+        ("algorithm", 7, "rng.algorithm: expected a string, got 7"),
+        ("steps", [(5, np.array([1, 0j]))], "steps[0].label: expected a string, got 5"),
+        ("outcome", 5, "outcome: must be >= 0 and <= 1, got 5"),
+        ("oracle_evals", -3, "oracle_evals: must be >= 0, got -3"),
+    ],
+    ids=["seed", "algorithm", "label", "outcome", "oracle_evals"],
+)
+def test_the_writer_refuses_a_field_the_constructor_refuses(field, value, message):
+    doc = TraceDocument(1, 0, [("i", np.array([1, 0j]))], 0, 0)
+    valid = render_trace_document(doc)
+    with pytest.raises(ValueError) as built:
+        dataclasses.replace(doc, **{field: value})
+    setattr(doc, field, value)
+    out = io.StringIO()
+    with pytest.raises(ValueError) as written:
+        write_trace_document(doc, out)
+    assert str(written.value) == str(built.value) == message
+    # Each field is checked before the text that holds it is written.
+    assert valid.startswith(out.getvalue())
 
 
 INT_FIELDS =("n", "seed", "outcome", "oracle_evals")
@@ -657,8 +700,27 @@ def with_pair(text, step, j, element):
 
 
 def long_text():
+    """Two identical n=10 steps, every pair text "[0.03125,0]"."""
     amps = np.full(1024, 1 / 32, dtype=np.complex128)
     return render_trace_document(TraceDocument(10, 0, [("i", amps), ("ii", amps)], 0, 0))
+
+
+def with_separator(text, step, j, separator):
+    """Writer text with the "],[" after pair j of a step's amplitudes
+    replaced by the given text."""
+    lines = text.split("\n")
+    line = lines[5 + step]
+    at = line.index("[[") + 1
+    for _ in range(j + 1):
+        at = line.index("],[", at + 1)
+    lines[5 + step] = line[:at] + separator + line[at + 3:]
+    return "\n".join(lines)
+
+
+def one_qubit_text():
+    steps = [("i", [0.6, 0.8]), ("ii", [0.6, -0.8]), ("iii", [0.8j, 0.6]), ("iv", [0.8j, 0.6]),
+             ("v", [-0.8j, 0.6])]
+    return render_trace_document(TraceDocument(1, 0, steps, 0, 0))
 
 
 def basis_text():
@@ -718,6 +780,36 @@ ROUTE_CASES = {
     "format_version 2": (edited('"1"', '"2"'), False),
     **{f"bad pair at [{j}]": (lambda j=j: with_pair(long_text(), 1, j, "[0.5,false]"), False)
        for j in (0, 1000, 1023)},
+    # Edits to a step after the first, which is read as a change from the
+    # step before it.
+    # A changed pair's first character differs, so the change starts where
+    # a separator ends; "0e1" ends the change where a separator starts.
+    "a step identical to the one before": (long_text, True),
+    **{f"changed pair at [{j}]": (lambda j=j: with_pair(long_text(), 1, j, "[-0.03125,0]"), True)
+       for j in (0, 1, 1023)},
+    "edit ending at a separator": (lambda: with_pair(long_text(), 1, 500, "[0.03125,0e1]"), True),
+    "longer pair text": (lambda: with_pair(long_text(), 1, 500, "[0.031250,0.0]"), True),
+    "shorter pair text": (lambda: with_pair(long_text(), 0, 500, "[0.031250,0.0]"), True),
+    "edited separator": (lambda: with_separator(long_text(), 1, 500, "], ["), False),
+    "lost separator": (lambda: with_separator(long_text(), 1, 500, ","), False),
+    "separator without its [": (lambda: with_separator(long_text(), 1, 500, "], "), False),
+    "separator without its ]": (lambda: with_separator(long_text(), 1, 500, " ,["), False),
+    "two pairs in one, step 1": (
+        lambda: with_pair(long_text(), 1, 7, "[0.03125,0], [0.03125,0]"), False),
+    "pair with a nested list, step 1": (lambda: with_pair(long_text(), 1, 7, "[1,[2]]"), False),
+    "one pair too many, step 1": (
+        lambda: with_pair(long_text(), 1, 1023, "[0.03125,0],[0.03125,0]"), False),
+    "one pair too few, step 1": (lambda: long_text().replace("],[0.03125,0]]}\n", "]]}\n"), False),
+    # A bad pair of the same length as the one it replaces, two pairs from
+    # a change: a cut one pair too far would reuse the good pair before it.
+    "bad pair before a change": (
+        lambda: with_pair(with_pair(long_text(), 1, 500, "[0.5,false]"), 1, 502, "[-0.03125,0]"),
+        False),
+    "bad pair after a change": (
+        lambda: with_pair(with_pair(long_text(), 1, 502, "[0.5,false]"), 1, 500, "[-0.03125,0]"),
+        False),
+    "n=1": (one_qubit_text, True),
+    "n=1, bad pair in a later step": (lambda: with_pair(one_qubit_text(), 3, 1, "[0.6]"), False),
 }
 
 
