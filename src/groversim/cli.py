@@ -88,11 +88,13 @@ def _load_circuit(path: str) -> ReversibleCircuit:
 def _output_file(path: str, kind: str) -> Iterator[TextIO]:
     """A new file beside path that replaces path when the block ends. If
     anything fails first, the file is removed and path is left as it was;
-    an OSError becomes a ValueError naming the document. A directory at
-    path is refused before the file is made."""
+    an OSError becomes a ValueError naming the document. An empty path or
+    a directory at path is refused before the file is made."""
     tmp = f"{path}.{os.getpid()}.tmp"
     made = False
     try:
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         with open(tmp, "x", encoding="utf-8") as out:

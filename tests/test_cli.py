@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -37,27 +38,57 @@ def write_adder(tmp_path):
     return str(path)
 
 
-def run_python(*args):
-    """A new interpreter run with args, the package's sources on its path."""
+def random_circuit(seed, wires, gates):
+    """A seeded circuit of NOT, CNOT and TOFFOLI gates on distinct wires."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(gates):
+        controls = int(rng.integers(3))
+        picked = [int(w) for w in rng.choice(wires, size=1 + controls, replace=False)]
+        drawn.append(Gate(("NOT", "CNOT", "TOFFOLI")[controls], picked[0], tuple(picked[1:])))
+    return ReversibleCircuit(wires, tuple(drawn))
+
+
+def run_command(*command, **environ):
+    """A new process running command, with environ added to the environment
+    and the package's sources on the interpreter's path."""
     pythonpath = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    return subprocess.run(command, capture_output=True, text=True, env=env)
 
 
 def test_importing_the_cli_leaves_numpy_random_out():
     # The circuit commands never draw, so start-up need not import it.
-    done = run_python("-c", "import sys, groversim.cli; print('numpy.random' in sys.modules)")
+    code = "import sys, groversim.cli; print('numpy.random' in sys.modules)"
+    done = run_command(sys.executable, "-c", code)
     assert (done.returncode, done.stdout) == (0, "False\n")
 
 
 def test_the_cli_module_runs_as_a_script_and_exits_with_mains_code():
-    argv = ["-m", "groversim.cli", "grover", "run", "--qubits", "2", "--marked", "2"]
-    done = run_python(*argv)
+    argv = [sys.executable, "-m", "groversim.cli", "grover", "run", "--qubits", "2", "--marked", "2"]
+    done = run_command(*argv)
     assert (done.returncode, done.stdout, done.stderr) == (0, RUN_GOLDEN, "")
-    done = run_python(*argv[:-1], "9")
+    done = run_command(*argv[:-1], "9")
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", "error: marked index 9 out of range for 4 basis states\n"
     )
+
+
+def test_the_console_script_runs_main_and_passes_its_exit_code():
+    # The groversim script that installing the package declares. CI installs
+    # it and runs this test alone, after checking that the script is on PATH.
+    script = shutil.which("groversim")
+    if script is None:
+        pytest.skip("no groversim console script on PATH")
+    argv = [script, "grover", "run", "--qubits", "2", "--marked", "2"]
+    done = run_command(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == (0, RUN_GOLDEN, "")
+    done = run_command(*argv[:-1], "9")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: marked index 9 out of range for 4 basis states\n"
+    )
+    done = run_command(*argv, GROVERSIM_MAX_QUBITS="1")
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", "error: n=2 exceeds the 1-qubit cap\n")
 
 
 def test_run_text_golden(capsys):
@@ -480,14 +511,8 @@ def test_more_than_62_index_bits_under_the_cap_exit_2(argv, message, tmp_path, m
 
 
 def test_circuit_verify_sixteen_wires(tmp_path, capsys):
-    rng = np.random.default_rng(16)
-    gates = []
-    for _ in range(40):
-        controls = int(rng.integers(3))
-        wires = [int(w) for w in rng.choice(16, size=1 + controls, replace=False)]
-        gates.append(Gate(("NOT", "CNOT", "TOFFOLI")[controls], wires[0], tuple(wires[1:])))
     path = tmp_path / "wide.json"
-    path.write_text(render_circuit_document(ReversibleCircuit(16, tuple(gates))), encoding="utf-8")
+    path.write_text(render_circuit_document(random_circuit(16, 16, 40)), encoding="utf-8")
     assert main(["circuit", "verify", str(path)]) == 0
     assert capsys.readouterr().out == "reversible: true\n"
 
@@ -533,6 +558,26 @@ def test_circuit_invert_to_file(tmp_path, capsys):
     assert parsed == inverse_circuit(adder_circuit())
 
 
+INVERTED_TWICE = {
+    "adder": adder_circuit,
+    "one wire": lambda: ReversibleCircuit(1, (Gate.not_(0),)),
+    "two wires": lambda: ReversibleCircuit(2, (Gate.cnot(0, 1), Gate.not_(0), Gate.cnot(1, 0))),
+    "twenty wires": lambda: random_circuit(20, 20, 40),
+    "no gates": lambda: ReversibleCircuit(3, ()),
+}
+
+
+@pytest.mark.parametrize("name", INVERTED_TWICE)
+def test_inverting_a_circuit_document_twice_gives_its_bytes_back(name, tmp_path, capsys):
+    # Once to a file and once to stdout, so both ways of writing are checked.
+    path = tmp_path / "circuit.json"
+    path.write_text(render_circuit_document(INVERTED_TWICE[name]()), encoding="utf-8")
+    inverse = str(tmp_path / "inverse.json")
+    assert main(["circuit", "invert", str(path), "--output", inverse]) == 0
+    assert main(["circuit", "invert", inverse]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
+
+
 def test_run_trace_write_error_exits_2(tmp_path, capsys):
     path = str(tmp_path / "missing" / "t.json")
     assert main(["grover", "run", "--qubits", "2", "--marked", "2", "--trace", path]) == 2
@@ -541,18 +586,24 @@ def test_run_trace_write_error_exits_2(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-def test_run_trace_write_error_exits_2_before_running(tmp_path, monkeypatch, capsys):
+UNUSABLE_PATHS = pytest.mark.parametrize(
+    "path", [os.path.join("missing", "out.json"), ""], ids=["missing directory", "empty"])
+
+
+@UNUSABLE_PATHS
+def test_run_trace_write_error_exits_2_before_running(path, tmp_path, monkeypatch, capsys):
     import groversim.cli
 
     calls = []
-    monkeypatch.setattr(groversim.cli, "run_grover", lambda config: calls.append(config))
-    path = str(tmp_path / "missing" / "t.json")
+    monkeypatch.setattr(groversim.cli, "run_grover", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
     assert main(["grover", "run", "--qubits", "12", "--marked", "5", "--trace", path]) == 2
     captured = capsys.readouterr()
     assert calls == []
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write trace document {path!r}: ")
     assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_trace_to_a_bare_file_name(tmp_path, monkeypatch, capsys):
@@ -562,8 +613,9 @@ def test_run_trace_to_a_bare_file_name(tmp_path, monkeypatch, capsys):
     assert len(parse_trace_document((tmp_path / "t.json").read_text(encoding="utf-8")).steps) == 5
 
 
-def test_circuit_invert_write_error_exits_2(tmp_path, capsys):
-    path = str(tmp_path / "missing" / "inverse.json")
+@UNUSABLE_PATHS
+def test_circuit_invert_write_error_exits_2(path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(["circuit", "invert", write_adder(tmp_path), "--output", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -214,9 +214,12 @@ def test_the_direct_reader_reads_each_snapshot_of_a_sequence_as_json_does(sequen
     assert_same_document(direct, doc)
 
 
-@pytest.mark.parametrize("n", range(1, 12))
-def test_the_direct_reader_takes_every_trace_the_writers_write(n):
-    marked = {(3 * n) % (1 << n)} if n < 4 else {1, (1 << n) - 3}
+@pytest.mark.parametrize("n, marked", [
+    *((n, {(3 * n) % (1 << n)} if n < 4 else {1, (1 << n) - 3}) for n in range(1, 12)),
+    # Each marked-flip line changes pairs far apart; the whole span between is decoded.
+    (11, {3, 700, 1500}),
+], ids=[*map(str, range(1, 12)), "11-far-apart"])
+def test_the_direct_reader_takes_every_trace_the_writers_write(n, marked):
     run = io.StringIO()
     run_grover(GroverConfig(n, Oracle(n, marked=marked), seed=n), run)
     with mock.patch("groversim.documents._parse_trace_json",
