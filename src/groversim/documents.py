@@ -34,7 +34,7 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Any, Callable, ClassVar, TextIO
+from typing import Any, Callable, ClassVar, Iterator, TextIO
 
 import numpy as np
 
@@ -193,15 +193,38 @@ def _load_json(text: str, where: str, object_hook: Callable[[dict], Any] | None 
     try:
         return json.loads(text, parse_constant=reject_constant, object_hook=object_hook)
     except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+        fault = f" at line {exc.lineno} column {exc.colno}: {exc.msg}"
+    except RecursionError:
+        fault = ": nested too deeply"
+    except ValueError as exc:
+        if str(exc).startswith(f"{where}: "):  # reject_constant's refusal names where
+            raise
+        fault = f": {exc}"  # an integer past Python's digit limit, bytes not in UTF-8
+    raise ValueError(f"{where}: invalid JSON{fault}")
 
 
-def _check_version(raw: dict, expected: str, where: str) -> None:
-    version = raw.get("format_version")
-    if version != expected:
-        raise ValueError(f"{where}: format_version: expected {expected!r}, got {version!r}")
+def _load_object(text: str | bytes, version: str, where: str,
+                 object_hook: Callable[[dict], Any] | None = None) -> dict:
+    """The JSON object in text, refused unless its format_version is version."""
+    raw = _load_json(text, where, object_hook)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where}: top level must be an object")
+    found = raw.get("format_version")
+    if found != version:
+        raise ValueError(f"{where}: format_version: expected {version!r}, got {found!r}")
+    return raw
+
+
+def _objects(raw: dict, key: str, where: str) -> Iterator[tuple[str, dict]]:
+    """Each object of the list raw[key], with the name its errors use."""
+    entries = raw.get(key)
+    if not isinstance(entries, list):
+        raise ValueError(f"{where}: {key}: expected a list")
+    for i, entry in enumerate(entries):
+        spot = f"{where}: {key}[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{spot}: expected an object")
+        yield spot, entry
 
 
 def _pack_amplitudes(value: Any) -> np.ndarray | str:
@@ -296,14 +319,14 @@ def _read_written_trace(text: str) -> TraceDocument | None:
     bracket, so each is exactly one pair of the JSON text and decodes as
     json.loads of the whole would decode it.
 
-    Each line after the first is read as a change from the line before.
-    The longest run of text the two share at the start is cut back to its
-    last "],[", and the run they share at the end to its first. "],[" cannot
-    overlap itself, so each separator in those runs is a separator of both
-    lines, and the pair texts before the first cut and after the second are
-    the same texts in both. They were decoded and checked with the line
-    before, so its amplitudes are reused for them, and only the pair texts
-    between the cuts are split and decoded."""
+    Each line is read as a change from the line before (the first, from an
+    empty line at the head's end). The longest run the two share at the
+    start is cut back to its last "],[", and the run they share at the end
+    to its first. "],[" cannot overlap itself, so each separator in those
+    runs is a separator of both lines, and the pair texts before the first
+    cut and after the second are the same texts in both. They were decoded
+    and checked with the line before, so its amplitudes are reused for
+    them, and only the pair texts between the cuts are split and decoded."""
     try:
         head = _HEAD.match(text)
         if head is None:
@@ -312,6 +335,7 @@ def _read_written_trace(text: str) -> TraceDocument | None:
         if _head(n, seed, algorithm) != head[0]:
             return None
         pos, steps = head.end(), []
+        last_start = last_end = pos
         while (step := _STEP.match(text, pos)) and bool(step[1]) == bool(steps):
             start = step.end()
             # The amplitudes end at the last "]]}" before the line's newline;
@@ -320,17 +344,16 @@ def _read_written_trace(text: str) -> TraceDocument | None:
             if end < 0:
                 return None
             lo, hi, before, after = start, end, 0, 0
-            if steps:
-                limit = min(end - start, last_end - last_start)
-                shared = _shared_run(text, last_start, start, limit, False)
-                cut = text.rfind("],[", last_start, last_start + shared)
-                if cut >= 0:
-                    cut += len("],[")
-                    before, lo = text.count("],[", last_start, cut), start + (cut - last_start)
-                shared = _shared_run(text, last_end, end, limit - shared, True)
-                cut = text.find("],[", last_end - shared, last_end)
-                if cut >= 0:
-                    after, hi = text.count("],[", cut, last_end), end - (last_end - cut)
+            limit = min(end - start, last_end - last_start)
+            shared = _shared_run(text, last_start, start, limit, False)
+            cut = text.rfind("],[", last_start, last_start + shared)
+            if cut >= 0:
+                cut += len("],[")
+                before, lo = text.count("],[", last_start, cut), start + (cut - last_start)
+            shared = _shared_run(text, last_end, end, limit - shared, True)
+            cut = text.find("],[", last_end - shared, last_end)
+            if cut >= 0:
+                after, hi = text.count("],[", cut, last_end), end - (last_end - cut)
             changed = _decode_pairs(text[lo:hi].split("],["))
             if changed is None:
                 return None
@@ -347,30 +370,21 @@ def _read_written_trace(text: str) -> TraceDocument | None:
         if _tail(len(steps), outcome, evals) != tail[0]:
             return None
         return TraceDocument(n, seed, steps, outcome, evals, algorithm)
-    except (ValueError, RecursionError):
+    except ValueError:
         return None
 
 
 def _parse_trace_json(text: str | bytes) -> TraceDocument:
     where = "trace document"
-    raw = _load_json(text, where, _pack_steps)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{where}: top level must be an object")
-    _check_version(raw, TRACE_FORMAT_VERSION, where)
+    raw = _load_object(text, TRACE_FORMAT_VERSION, where, _pack_steps)
     n = _as_int(raw.get("n"), f"{where}: n")
     rng = raw.get("rng")
     if not isinstance(rng, dict):
         raise ValueError(f"{where}: rng: expected an object")
     algorithm = _require_str(rng.get("algorithm"), f"{where}: rng.algorithm")
     seed = _as_int(rng.get("seed"), f"{where}: rng.seed")
-    steps_raw = raw.get("steps")
-    if not isinstance(steps_raw, list):
-        raise ValueError(f"{where}: steps: expected a list")
     steps: list[tuple[str, np.ndarray]] = []
-    for i, entry in enumerate(steps_raw):
-        spot = f"{where}: steps[{i}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{spot}: expected an object")
+    for spot, entry in _objects(raw, "steps", where):
         label = _require_str(entry.get("label"), f"{spot}.label")
         amps = entry.get("amplitudes", "amplitudes: expected a list")
         if isinstance(amps, str):
@@ -394,19 +408,10 @@ def render_circuit_document(circuit: ReversibleCircuit) -> str:
 
 def parse_circuit_document(text: str) -> ReversibleCircuit:
     where = "circuit document"
-    raw = _load_json(text, where)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{where}: top level must be an object")
-    _check_version(raw, CIRCUIT_FORMAT_VERSION, where)
+    raw = _load_object(text, CIRCUIT_FORMAT_VERSION, where)
     wires = _as_int(raw.get("wires"), f"{where}: wires", minimum=1)
-    gates_raw = raw.get("gates")
-    if not isinstance(gates_raw, list):
-        raise ValueError(f"{where}: gates: expected a list")
     gates = []
-    for i, entry in enumerate(gates_raw):
-        spot = f"{where}: gates[{i}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{spot}: expected an object")
+    for spot, entry in _objects(raw, "gates", where):
         kind = _require_str(entry.get("type"), f"{spot}.type")
         target = _as_int(entry.get("target"), f"{spot}.target", minimum=0)
         controls_raw = entry.get("controls", [])

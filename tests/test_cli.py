@@ -639,6 +639,16 @@ def test_circuit_bad_document_exits_2(tmp_path, capsys):
     assert "gates[0]" in capsys.readouterr().err
 
 
+def test_circuit_verify_of_a_document_nested_too_deeply_exits_2(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    nested = "[" * 100_000 + "]" * 100_000
+    path.write_text(f'{{"format_version": "1", "wires": {nested}, "gates": []}}', encoding="utf-8")
+    assert main(["circuit", "verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: circuit document: invalid JSON: nested too deeply\n"
+
+
 # --help of the search and baseline commands, at 80 columns.
 HELP_GOLDENS = {
     ("grover", "run"): (
