@@ -250,9 +250,13 @@ def _pack_amplitudes(value: Any) -> np.ndarray | str:
 def _pack_steps(obj: dict) -> dict:
     """JSON object hook: decides an "amplitudes" value as soon as the
     scanner closes its object, so that list tree is freed before the next
-    step is read."""
+    step is read. A literal too large for a double, which json reads as an
+    infinity, is named by its pair."""
     if "amplitudes" in obj:
-        obj["amplitudes"] = _pack_amplitudes(obj["amplitudes"])
+        amps = _pack_amplitudes(obj["amplitudes"])
+        if not isinstance(amps, str) and not np.isfinite(amps).all():
+            amps = f"amplitudes[{np.flatnonzero(~np.isfinite(amps))[0]}]: not a finite number"
+        obj["amplitudes"] = amps
     return obj
 
 

@@ -701,7 +701,7 @@ ROUTE_CASES = {
     "integer tokens": (basis_text, True, None),
     "-0": (with_pair(0, 1, "[-0,-0]", basis_text), True, None),
     "-0.0": (with_pair(1, 3, "[0,-0.0]", basis_text), True, None),
-    "1e400": (with_pair(1, 1000, "[1e400,0]"), False, "steps[1]: snapshot norm differs from 1 by inf"),
+    "1e400": (with_pair(1, 1000, "[1e400,0]"), False, "steps[1].amplitudes[1000]: not a finite number"),
     "400-digit integer": (with_pair(1, 1000, f"[0,{10**400}]"), False,
                           f"steps[1].amplitudes: {TOO_LARGE}"),
     "400-digit integer, n=2": (rewritten({"steps.0.amplitudes.1": [10**400, 0]}), False,

@@ -35,6 +35,7 @@ from groversim import (
     run_grover,
     scan_probabilities,
     uniform_state,
+    verify_against_matrix,
     wh_matrix_entry,
     wh_sign,
 )
@@ -97,6 +98,7 @@ NAMED_ENTRY_POINTS = {
     "GroverConfig-max_qubits": ("max_qubits", lambda v: config(max_qubits=v)),
     "classical_baseline-max_qubits": ("max_qubits", lambda v: classical_baseline(4, {0}, 1, 1, max_qubits=v)),
     "circuit_to_permutation-max_wires": ("max_wires", lambda v: circuit_to_permutation(adder_circuit(), v)),
+    "verify_against_matrix-n": ("n", lambda v: verify_against_matrix(v, [])),
 }
 NOT_INTEGERS = [True, False, 1.0, 2.5, np.float64(1.0)]
 
@@ -140,6 +142,7 @@ def test_every_integer_argument_refuses_bools_and_floats(name, call, value):
         (lambda: index_to_bits(0, 0), "width: must be >= 1 and <= 62, got 0"),
         (lambda: TraceDocument(1, 0, [], 2, 0), "outcome: must be >= 0 and <= 1, got 2"),
         (lambda: TraceDocument(1, 0, [], 0, -1), "oracle_evals: must be >= 0, got -1"),
+        (lambda: verify_against_matrix(-1, []), "n: must be >= 1, got -1"),
     ],
 )
 def test_integer_arguments_out_of_bounds_name_the_bound(call, message):

@@ -1,11 +1,15 @@
 import math
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groversim import (
     Oracle,
@@ -17,6 +21,7 @@ from groversim import (
     verify_against_matrix,
     wh_matrix_entry,
 )
+import pathsum_reference as reference
 
 
 def test_step_op_validation():
@@ -174,6 +179,20 @@ def test_verify_against_matrix_limits():
         verify_against_matrix(2, [StepOp.flip_zero()] * 11)
 
 
+@pytest.mark.parametrize("n", ["3", None], ids=repr)
+def test_verify_against_matrix_checks_the_type_of_n_first(n):
+    # Compared with 4 before any type check, these raised TypeError.
+    with pytest.raises(ValueError, match=f"^n: expected an integer, got {n!r}$"):
+        verify_against_matrix(n, [])
+
+
+def test_verify_against_matrix_names_a_bad_marked_index_by_its_step():
+    # The dense route used to see it first and name it "selector index 9".
+    steps = [StepOp.wh(), StepOp.flip_marked({1, 9})]
+    with pytest.raises(ValueError, match=r"^steps\[1\] marked index 9 out of range for 4 basis states$"):
+        verify_against_matrix(2, steps)
+
+
 def test_path_amplitude_norm_identity():
     # summing |amplitude|^2 over all ends of a mixing program gives 1
     steps = [StepOp.wh(), StepOp.flip_marked({1}), StepOp.wh()]
@@ -198,3 +217,52 @@ def test_path_count_grows_with_free_mixing_steps():
     assert math.isclose(
         sum(p.amplitude for p in paths), path_amplitude(1, steps, 0, 0), rel_tol=0.0, abs_tol=1e-12
     )
+
+
+def pack(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def programs(draw):
+    """n <= 3, up to 7 steps with at most 2**12 paths in all, a start, and
+    an end or None."""
+    n = draw(st.integers(1, 3))
+    size = 1 << n
+    step = st.one_of(st.just(StepOp.wh()), st.just(StepOp.flip_zero()),
+                     st.frozensets(st.integers(0, size - 1)).map(StepOp.flip_marked))
+    steps = draw(st.lists(step, max_size=7).filter(
+        lambda steps: size ** sum(op.kind == "wh" for op in steps) <= 1 << 12))
+    return n, steps, draw(st.integers(0, size - 1)), draw(st.none() | st.integers(0, size - 1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(programs())
+def test_path_sums_match_the_float_walker_byte_for_byte(program):
+    # The reference carries each amplitude as a float product and sums with
+    # math.fsum; the integer count must give the same bytes, the sign of
+    # zero included. With end None, path_amplitude is checked at every end.
+    n, steps, start, end = program
+    for stop in range(1 << n) if end is None else [end]:
+        got = path_amplitude(n, steps, start, stop)
+        assert pack(got) == pack(reference.path_amplitude(n, steps, start, stop)), stop
+    got = [(p.states, pack(p.amplitude)) for p in enumerate_paths(n, steps, start, end)]
+    assert got == [(p.states, pack(p.amplitude))
+                   for p in reference.enumerate_paths(n, steps, start, end)]
+
+
+def test_path_amplitude_walks_the_leaves_without_a_list():
+    # One node with 2**13 leaves: n=13 is the largest n at which the branch
+    # cap (2**26) admits two transforms. A list of the leaves would take
+    # 64 KiB for its pointers alone.
+    steps = [StepOp.wh(), StepOp.flip_marked({3}), StepOp.wh()]
+    path_amplitude(13, steps, 0, 0)
+    tracemalloc.start()
+    try:
+        got = path_amplitude(13, steps, 0, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert pack(got) == pack(reference.path_amplitude(13, steps, 0, 5))
+    assert abs(got - 2 / 8192) < 1e-18
