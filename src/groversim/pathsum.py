@@ -23,8 +23,9 @@ from .state import MAX_INDEX_QUBITS, ResourceLimitError, _as_int, _index_set, _i
 from .state import apply_phase_flip, basis_state
 from .transforms import invert_phase_zero, walsh_hadamard_fast
 
-# A mixing step branches 2**n ways; refuse programs whose branch product
-# exceeds this.
+# A mixing step branches 2**n ways; refuse calls whose branch product, the
+# number of paths they walk, exceeds this. With an end given, the last
+# transform goes straight into it and does not branch.
 MAX_PATHS = 1 << 26
 
 STEP_KINDS = ("wh", "flip_marked", "flip_zero")
@@ -89,13 +90,17 @@ def _check_enumeration(
 ) -> None:
     size = 1 << _as_int(n, "n", 1, MAX_INDEX_QUBITS)
     _as_int(start, "start", 0, size - 1)
+    # With end given, the last transform goes straight into end and does not
+    # branch, so it is not counted.
+    pinned = -1
     if end is not None:
         _as_int(end, "end", 0, size - 1)
+        pinned = max((i for i, op in enumerate(steps) if op.kind == "wh"), default=-1)
     branches = 1
     for i, op in enumerate(steps):
         if op.kind == "flip_marked":
             _index_set(size, op.marked, f"steps[{i}] marked index")
-        elif op.kind == "wh":
+        elif op.kind == "wh" and i != pinned:
             branches *= size
             if branches > MAX_PATHS:
                 raise ResourceLimitError(

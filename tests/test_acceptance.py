@@ -36,15 +36,7 @@ from groversim import (
 )
 from groversim.reversible import Gate, ReversibleCircuit
 from groversim.state import AmplitudeVector
-from tracing import traced
-
-FOUR_STATE_TRACE = np.array([
-    [0.5, 0.5, 0.5, 0.5],
-    [0.5, 0.5, -0.5, 0.5],
-    [0.5, -0.5, 0.5, 0.5],
-    [-0.5, -0.5, 0.5, 0.5],
-    [0.0, 0.0, -1.0, 0.0],
-])
+from helpers import FOUR_STATE_TRACE, traced
 
 SIGN_TABLE = np.array([
     [1, 1, 1, 1],

@@ -1,52 +1,33 @@
 import errno
 import hashlib
-import json
 import os
+import shlex
 import shutil
 import stat
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from groversim import parse_circuit_document, parse_trace_document, render_circuit_document
+from groversim import parse_trace_document, render_circuit_document
 from groversim.cli import main
 from groversim.reversible import Gate, ReversibleCircuit, adder_circuit, inverse_circuit
-
-RUN_GOLDEN = (
-    "iterations: 1\n"
-    "outcome: 2\n"
-    "success_probability: 0.9999999999999991\n"
-    "oracle_evals: 1\n"
-)
-
-FOUR_STATE_TRACE = [
-    [0.5, 0.5, 0.5, 0.5],
-    [0.5, 0.5, -0.5, 0.5],
-    [0.5, -0.5, 0.5, 0.5],
-    [-0.5, -0.5, 0.5, 0.5],
-    [0.0, 0.0, -1.0, 0.0],
-]
+from helpers import FOUR_STATE_TRACE, random_circuit
 
 
-def write_adder(tmp_path):
-    path = tmp_path / "adder.json"
-    path.write_text(render_circuit_document(adder_circuit()), encoding="utf-8")
-    return str(path)
+def report(iterations, outcome, probability, evals):
+    """The text `grover run` prints; probability is the text of its repr."""
+    return (f"iterations: {iterations}\noutcome: {outcome}\n"
+            f"success_probability: {probability}\noracle_evals: {evals}\n")
 
 
-def random_circuit(seed, wires, gates):
-    """A seeded circuit of NOT, CNOT and TOFFOLI gates on distinct wires."""
-    rng = np.random.default_rng(seed)
-    drawn = []
-    for _ in range(gates):
-        controls = int(rng.integers(3))
-        picked = [int(w) for w in rng.choice(wires, size=1 + controls, replace=False)]
-        drawn.append(Gate(("NOT", "CNOT", "TOFFOLI")[controls], picked[0], tuple(picked[1:])))
-    return ReversibleCircuit(wires, tuple(drawn))
+RUN_GOLDEN = report(1, 2, "0.9999999999999991", 1)
+ENOENT = os.strerror(errno.ENOENT)
+ADDER = render_circuit_document(adder_circuit())
 
 
 def run_command(*command, **environ):
@@ -91,37 +72,276 @@ def test_the_console_script_runs_main_and_passes_its_exit_code():
     assert (done.returncode, done.stdout, done.stderr) == (3, "", "error: n=2 exceeds the 1-qubit cap\n")
 
 
-def test_run_text_golden(capsys):
-    assert main(["grover", "run", "--qubits", "2", "--marked", "2"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == RUN_GOLDEN
-    assert captured.err == ""
+class Case(NamedTuple):
+    """A command-line case: the argv, as shell words, run in a new directory
+    holding `files`, and what main gives: the exit code, the exact stdout
+    and stderr, and the files left, `files` unchanged where `after` is None.
+    A file is its text; a directory is a dict of its entries."""
+
+    argv: str
+    code: int = 0
+    out: str = ""
+    err: str = ""
+    env: dict = {}
+    files: dict = {}
+    after: dict | None = None
 
 
-def test_run_stdout_is_deterministic(capsys):
-    argv = ["grover", "run", "--qubits", "5", "--marked", "3,17", "--seed", "11"]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert main(argv) == 0
-    assert capsys.readouterr().out == first
+RUN = "grover run --qubits 2 --marked 2"
+RUN_USAGE = (
+    "usage: groversim grover run [-h] --qubits N --marked R[,R...] [--iterations T]\n"
+    "                            [--seed S] [--trace PATH] [--format {text,json}]\n"
+)
+NO_INTEGER = {"GROVERSIM_MAX_QUBITS": "abc"}
+NOT_AN_INTEGER = "error: GROVERSIM_MAX_QUBITS must be an integer, got 'abc'\n"
+ADDER_FILE = {"adder.json": ADDER}
+NESTED = "[" * 100_000 + "]" * 100_000
+# Circuits inverted twice, once to a file and once to stdout: each name's
+# document and its inverse's.
+INVERSES = {
+    name: (render_circuit_document(circuit), render_circuit_document(inverse_circuit(circuit)))
+    for name, circuit in {
+        "adder": adder_circuit(),
+        "one wire": ReversibleCircuit(1, (Gate.not_(0),)),
+        "two wires": ReversibleCircuit(2, (Gate.cnot(0, 1), Gate.not_(0), Gate.cnot(1, 0))),
+        "twenty wires": random_circuit(np.random.default_rng(20), 20, 40),
+        "no gates": ReversibleCircuit(3, ()),
+    }.items()
+}
 
 
-def test_run_seed_controls_measurement(capsys):
-    argv = ["grover", "run", "--qubits", "3", "--marked", "1", "--iterations", "0", "--seed", "7"]
-    assert main(argv) == 0
-    line = capsys.readouterr().out.splitlines()[1]
-    assert line.startswith("outcome: ")
-    assert main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[1] == line
+def usage_error(message):
+    return RUN_USAGE + f"groversim grover run: error: {message}\n"
 
 
-def test_run_json_format(capsys):
-    assert main(["grover", "run", "--qubits", "2", "--marked", "2", "--format", "json"]) == 0
-    raw = json.loads(capsys.readouterr().out)
-    assert raw["iterations"] == 1
-    assert raw["outcome"] == 2
-    assert raw["oracle_evals"] == 1
-    assert abs(raw["success_probability"] - 1.0) <= 1e-12
+# --help of the search and baseline commands, at 80 columns.
+HELP_GOLDENS = {
+    "grover run": RUN_USAGE + (
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --qubits N            register width; the search space has 2**N states\n"
+        "  --marked R[,R...]     comma-separated marked basis indices\n"
+        "  --iterations T        iteration count or 'auto' for the optimum (default:\n"
+        "                        auto)\n"
+        "  --seed S              measurement seed (default: 0)\n"
+        "  --trace PATH          also write a step-by-step trace document to PATH\n"
+        "  --format {text,json}  stdout format (default: text)\n"
+    ),
+    "grover scan": (
+        "usage: groversim grover scan [-h] --qubits N --marked R[,R...]\n"
+        "                             --max-iterations T [--format {csv}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help          show this help message and exit\n"
+        "  --qubits N          register width; the search space has 2**N states\n"
+        "  --marked R[,R...]   comma-separated marked basis indices\n"
+        "  --max-iterations T  scan t = 0..T (T >= 1)\n"
+        "  --format {csv}      output format (default: csv)\n"
+    ),
+    "classical": (
+        "usage: groversim classical [-h] --size N [--marked R[,R...]] --iterations K\n"
+        "                           [--trials M] [--seed S]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help         show this help message and exit\n"
+        "  --size N           number of states searched\n"
+        "  --marked R[,R...]  comma-separated marked indices (default: 0)\n"
+        "  --iterations K     uniform draws per trial\n"
+        "  --trials M         Monte Carlo trials (default: 100000)\n"
+        "  --seed S           sampling seed (default: 0)\n"
+    ),
+}
+
+# One row per command-line behaviour. Rows next to each other also check
+# that main's reused parser keeps nothing between calls: a json run, a usage
+# error, an uncapped run or an --output run beside the row after it.
+CLI_CASES = {
+    **{f"{command} --help": Case(f"{command} --help", out=text) for command, text in HELP_GOLDENS.items()},
+    "run --format json": Case(f"{RUN} --format json", out=(
+        '{"iterations":1,"outcome":2,"success_probability":0.9999999999999991,"oracle_evals":1}\n')),
+    "run": Case(RUN, out=RUN_GOLDEN),
+    "run --qubits x": Case("grover run --qubits x --marked 2", 2,
+                           err=usage_error("argument --qubits: invalid int value: 'x'")),
+    "run n=5, seed 11": Case("grover run --qubits 5 --marked 3,17 --seed 11",
+                             out=report(3, 3, "0.9613189697265565", 3)),
+    "run 0 iterations, seed 7": Case("grover run --qubits 3 --marked 1 --iterations 0 --seed 7",
+                                     out=report(0, 5, "0.12499999999999994", 0)),
+    "run, half marked": Case(
+        "grover run --qubits 2 --marked 0,1", out=report(0, 2, "0.4999999999999998", 0),
+        err="note: at least half the space is marked; the auto iteration count is degenerate\n"),
+    "run, all marked": Case(
+        "grover run --qubits 2 --marked 0,1,2,3", out=report(0, 2, "0.9999999999999996", 0),
+        err="note: at least half the space is marked; the auto iteration count is degenerate\n"),
+    "run, marked out of range": Case("grover run --qubits 1 --marked 2", 2,
+                                     err="error: marked index 2 out of range for 2 basis states\n"),
+    "run --iterations x": Case(f"{RUN} --iterations x", 2, err=usage_error(
+        "argument --iterations: expected an integer or 'auto', got 'x'")),
+    "run --seed -1": Case(f"{RUN} --seed -1", 2, err="error: seed: must be >= 0, got -1\n"),
+    "run --seed abc": Case(f"{RUN} --seed abc", 2,
+                           err=usage_error("argument --seed: invalid int value: 'abc'")),
+    "run --marked 2;3": Case("grover run --qubits 2 --marked '2;3'", 2, err=usage_error(
+        "argument --marked: expected comma-separated integers, got '2;3'")),
+    "run n=4": Case("grover run --qubits 4 --marked 1", out=report(3, 1, "0.9613189697265575", 3)),
+    "run n=4, cap 3": Case("grover run --qubits 4 --marked 1", 3, env={"GROVERSIM_MAX_QUBITS": "3"},
+                           err="error: n=4 exceeds the 3-qubit cap\n"),
+    "run n=3, cap 3": Case("grover run --qubits 3 --marked 1", env={"GROVERSIM_MAX_QUBITS": "3"},
+                           out=report(2, 1, "0.9453124999999973", 2)),
+    "run, cap abc": Case(RUN, 2, env=NO_INTEGER, err=NOT_AN_INTEGER),
+    "run, cap 0": Case(RUN, 2, env={"GROVERSIM_MAX_QUBITS": "0"},
+                       err="error: GROVERSIM_MAX_QUBITS must be >= 1, got 0\n"),
+    # 25 iterations at n=10 trace 101 * 2**10 amplitudes, over a 2**12 cap;
+    # a file already at the path keeps its bytes, and nothing is left beside it.
+    **{f"run --trace, cap 12{where}": Case(
+        "grover run --qubits 10 --marked 1 --trace trace.json", 3, env={"GROVERSIM_MAX_QUBITS": "12"},
+        files=files, err="error: a trace of 101 snapshots at n=10 exceeds 2**12 amplitudes and "
+                         "label characters, the 12-qubit cap\n")
+       for where, files in {"": {}, ", over an earlier file": {"trace.json": "earlier trace"}}.items()},
+    "run n=10, cap 12": Case("grover run --qubits 10 --marked 1", env={"GROVERSIM_MAX_QUBITS": "12"},
+                             out=report(25, 1, "0.9994612447443189", 25)),
+    "run --trace to a directory": Case(
+        f"{RUN} --trace trace.json", 2, files={"trace.json": {}},
+        err="error: cannot write trace document 'trace.json': Is a directory\n"),
+    "run --trace in a missing directory": Case(
+        f"{RUN} --trace missing/t.json", 2,
+        err=f"error: cannot write trace document 'missing/t.json': {ENOENT}\n"),
+    "scan": Case("grover scan --qubits 2 --marked 2 --max-iterations 3",
+                 out="t,success_probability\n0,0.25\n1,0.999999999999999\n2,0.25\n3,0.249999999999999\n"),
+    "scan --max-iterations 0": Case("grover scan --qubits 2 --marked 2 --max-iterations 0", 2,
+                                    err="error: t_max: must be >= 1, got 0\n"),
+    "scan, cap abc": Case("grover scan --qubits 2 --marked 2 --max-iterations 3", 2,
+                          env=NO_INTEGER, err=NOT_AN_INTEGER),
+    "classical 0 iterations": Case("classical --size 4 --marked 0 --iterations 0 --trials 10",
+                                   out="empirical: 0.0\nanalytic: 0.0\n"),
+    "classical --seed -1": Case("classical --size 4 --iterations 1 --seed -1", 2,
+                                err="error: seed: must be >= 0, got -1\n"),
+    "classical, marked out of range": Case(
+        "classical --size 4 --marked 9 --iterations 1 --trials 10", 2,
+        err="error: marked index 9 out of range for 4 basis states\n"),
+    "classical --trials 0": Case("classical --size 4 --iterations 1 --trials 0", 2,
+                                 err="error: trials: must be >= 1, got 0\n"),
+    "classical, cap abc": Case("classical --size 4 --iterations 1", 2, env=NO_INTEGER, err=NOT_AN_INTEGER),
+    # The baseline allocates a size-entry lookup table, so --size is capped
+    # at 2**cap before anything is drawn.
+    "classical --size 2048, cap 10": Case(
+        "classical --size 2048 --iterations 1 --trials 10", 3, env={"GROVERSIM_MAX_QUBITS": "10"},
+        err="error: size 2048 exceeds 2**10, the 10-qubit cap\n"),
+    # Every state marked, so that the draws cannot miss, whatever numpy's stream.
+    "classical --size 1024, cap 10": Case(
+        f"classical --size 1024 --marked {','.join(map(str, range(1024)))} --iterations 1 --trials 10",
+        env={"GROVERSIM_MAX_QUBITS": "10"}, out="empirical: 1.0\nanalytic: 1.0\n"),
+    # 64 * 100000 draws exceed 2**(4 + 4) at a 4-qubit cap.
+    "classical draws, cap 4": Case(
+        "classical --size 16 --iterations 64 --trials 100000", 3, env={"GROVERSIM_MAX_QUBITS": "4"},
+        err="error: 64 * 100000 draws exceed 2**8, the draw cap of the 4-qubit cap\n"),
+    "classical --size 2**70, cap 100": Case(
+        f"classical --size {1 << 70} --iterations 1 --trials 1", 2, env={"GROVERSIM_MAX_QUBITS": "100"},
+        err=f"error: size: must be >= 1 and <= {1 << 62}, got {1 << 70}\n"),
+    "verify": Case("circuit verify adder.json", files=ADDER_FILE, out="reversible: true\n"),
+    "verify, cap 2": Case("circuit verify adder.json", 3, env={"GROVERSIM_MAX_QUBITS": "2"},
+                          files=ADDER_FILE, err="error: circuit has 3 wires; cap is 2\n"),
+    "verify, cap abc": Case("circuit verify adder.json", 2, env=NO_INTEGER, files=ADDER_FILE,
+                            err=NOT_AN_INTEGER),
+    "verify 70 wires, cap 100": Case(
+        "circuit verify wide.json", 2, env={"GROVERSIM_MAX_QUBITS": "100"},
+        files={"wide.json": render_circuit_document(ReversibleCircuit(70, (Gate.cnot(0, 69),)))},
+        err="error: wires: must be >= 1 and <= 62, got 70\n"),
+    "verify 16 wires": Case("circuit verify wide.json", out="reversible: true\n", files={
+        "wide.json": render_circuit_document(random_circuit(np.random.default_rng(16), 16, 40))}),
+    "verify a missing file": Case(
+        "circuit verify nope.json", 2,
+        err=f"error: cannot read circuit document 'nope.json': [Errno {errno.ENOENT}] {ENOENT}: 'nope.json'\n"),
+    "verify a SWAP gate": Case(
+        "circuit verify bad.json", 2,
+        files={"bad.json": '{"format_version": "1", "wires": 2, "gates": [{"type": "SWAP", "target": 0}]}'},
+        err="error: circuit document: gates[0]: unknown gate kind 'SWAP'; "
+            "expected one of ['CNOT', 'NOT', 'TOFFOLI']\n"),
+    "verify wires nested 100000 deep": Case(
+        "circuit verify nested.json", 2,
+        files={"nested.json": f'{{"format_version": "1", "wires": {NESTED}, "gates": []}}'},
+        err="error: circuit document: invalid JSON: nested too deeply\n"),
+    "circuit run 110": Case("circuit run adder.json --input 110", files=ADDER_FILE, out="101\n"),
+    "circuit run 000": Case("circuit run adder.json --input 000", files=ADDER_FILE, out="000\n"),
+    "circuit run 11": Case("circuit run adder.json --input 11", 2, files=ADDER_FILE,
+                           err="error: input has 2 bits, circuit has 3 wires\n"),
+    "circuit run 10x": Case("circuit run adder.json --input 10x", 2, files=ADDER_FILE,
+                            err="error: input must be a non-empty string of 0s and 1s, got '10x'\n"),
+    "circuit run, empty input": Case("circuit run adder.json --input ''", 2, files=ADDER_FILE,
+                                     err="error: input must be a non-empty string of 0s and 1s, got ''\n"),
+    "circuit run, cap abc": Case("circuit run adder.json --input 110", env=NO_INTEGER,
+                                 files=ADDER_FILE, out="101\n"),
+    "invert --output": Case("circuit invert adder.json --output inverse.json", files=ADDER_FILE,
+                            after={**ADDER_FILE, "inverse.json": INVERSES["adder"][1]}),
+    "invert": Case("circuit invert adder.json", files=ADDER_FILE, out=INVERSES["adder"][1]),
+    "invert, cap abc": Case("circuit invert adder.json", env=NO_INTEGER, files=ADDER_FILE,
+                            out=INVERSES["adder"][1]),
+    **{f"invert --output {shlex.quote(path)}": Case(
+        f"circuit invert adder.json --output {shlex.quote(path)}", 2, files=ADDER_FILE,
+        err=f"error: cannot write circuit document {path!r}: {ENOENT}\n")
+       for path in ("", "missing/out.json")},
+    **{f"invert {name} to a file": Case(
+        "circuit invert circuit.json --output inverse.json", files={"circuit.json": text},
+        after={"circuit.json": text, "inverse.json": inverse})
+       for name, (text, inverse) in INVERSES.items()},
+    **{f"invert {name} back": Case("circuit invert inverse.json", files={"inverse.json": inverse}, out=text)
+       for name, (text, inverse) in INVERSES.items()},
+}
+
+
+def place(where, files):
+    for name, text in files.items():
+        if isinstance(text, dict):
+            (where / name).mkdir()
+            place(where / name, text)
+        else:
+            (where / name).write_text(text, encoding="utf-8")
+
+
+def listing(where):
+    return {path.name: listing(path) if path.is_dir() else path.read_text(encoding="utf-8")
+            for path in where.iterdir()}
+
+
+def outcome(case, where, monkeypatch, capsys):
+    """main's exit code, stdout, stderr and the files left, for case run in
+    the new directory `where`, at COLUMNS=80 and with no qubit cap set
+    unless the case sets them. argparse's SystemExit gives the code."""
+    where.mkdir()
+    place(where, case.files)
+    with monkeypatch.context() as patch:
+        patch.chdir(where)
+        patch.setenv("COLUMNS", "80")
+        patch.delenv("GROVERSIM_MAX_QUBITS", raising=False)
+        for key, value in case.env.items():
+            patch.setenv(key, value)
+        try:
+            code = main(shlex.split(case.argv))
+        except SystemExit as exc:
+            code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, listing(where)
+
+
+def expected(case):
+    return case.code, case.out, case.err, case.files if case.after is None else case.after
+
+
+@pytest.mark.parametrize("name", CLI_CASES)
+def test_command_line_case(name, tmp_path, monkeypatch, capsys):
+    # Twice in one process: the same results from the same argv, through
+    # the parser main() reuses.
+    case = CLI_CASES[name]
+    assert outcome(case, tmp_path / "first", monkeypatch, capsys) == expected(case)
+    assert outcome(case, tmp_path / "second", monkeypatch, capsys) == expected(case)
+
+
+def test_command_line_cases_back_to_back(tmp_path, monkeypatch, capsys):
+    # Each row after the one before it and after the one after it, so that
+    # no call leaves anything in the reused parser that changes the next.
+    names = [*CLI_CASES, *reversed(CLI_CASES)]
+    for i, name in enumerate(names):
+        assert outcome(CLI_CASES[name], tmp_path / str(i), monkeypatch, capsys) == expected(
+            CLI_CASES[name]), name
 
 
 def test_run_writes_trace_document(tmp_path, capsys):
@@ -138,8 +358,8 @@ def test_run_writes_trace_document(tmp_path, capsys):
     assert doc.algorithm == "pcg64"
     assert doc.oracle_evals == 1
     assert [label for label, _ in doc.steps] == ["i", "ii", "iii", "iv", "v"]
-    for (_, amps), expected in zip(doc.steps, FOUR_STATE_TRACE):
-        assert np.max(np.abs(amps - np.array(expected))) <= 1e-12
+    for (_, amps), expected_amps in zip(doc.steps, FOUR_STATE_TRACE):
+        assert np.max(np.abs(amps - expected_amps)) <= 1e-12
     assert doc.outcome == 2
 
 
@@ -202,17 +422,6 @@ def test_run_trace_file_mode_is_that_of_a_new_file(tmp_path, capsys):
     assert len(parse_trace_document(path.read_text(encoding="utf-8")).steps) == 5
 
 
-def test_run_trace_to_a_directory_exits_2_and_leaves_no_temporary_file(tmp_path, capsys):
-    folder = tmp_path / "trace.json"
-    folder.mkdir()
-    assert main(["grover", "run", "--qubits", "2", "--marked", "2", "--trace", str(folder)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: cannot write trace document {str(folder)!r}: Is a directory\n"
-    assert list(tmp_path.iterdir()) == [folder]
-    assert list(folder.iterdir()) == []
-
-
 def test_interrupted_trace_write_keeps_the_earlier_file(tmp_path, monkeypatch, capsys):
     import groversim.grover
 
@@ -268,91 +477,6 @@ def test_run_trace_snapshot_off_the_unit_norm_exits_2_and_keeps_the_earlier_file
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_run_degenerate_marking_warns(capsys):
-    assert main(["grover", "run", "--qubits", "2", "--marked", "0,1"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out.startswith("iterations: 0\n")
-    assert "degenerate" in captured.err
-
-
-def test_run_with_every_state_marked_runs_no_iteration(capsys):
-    assert main(["grover", "run", "--qubits", "2", "--marked", "0,1,2,3"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == (
-        "iterations: 0\noutcome: 2\nsuccess_probability: 0.9999999999999996\noracle_evals: 0\n"
-    )
-    assert "degenerate" in captured.err
-
-
-def test_run_marked_out_of_range_exits_2(capsys):
-    assert main(["grover", "run", "--qubits", "1", "--marked", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "out of range" in captured.err
-
-
-def test_run_bad_iterations_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["grover", "run", "--qubits", "2", "--marked", "2", "--iterations", "x"])
-    assert info.value.code == 2
-    assert "integer or 'auto'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", [
-    ["grover", "run", "--qubits", "2", "--marked", "2"],
-    ["classical", "--size", "4", "--iterations", "1"],
-])
-def test_negative_seed_flag_exits_2(command, capsys):
-    # The library's integer gate is the only seed rule.
-    assert main([*command, "--seed", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: seed: must be >= 0, got -1\n"
-
-
-def test_non_integer_seed_flag_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["grover", "run", "--qubits", "2", "--marked", "2", "--seed", "abc"])
-    assert info.value.code == 2
-    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
-
-
-def test_run_bad_marked_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["grover", "run", "--qubits", "2", "--marked", "2;3"])
-    assert info.value.code == 2
-    assert "comma-separated" in capsys.readouterr().err
-
-
-def test_qubit_cap_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "3")
-    assert main(["grover", "run", "--qubits", "4", "--marked", "1"]) == 3
-    assert "error:" in capsys.readouterr().err
-    assert main(["grover", "run", "--qubits", "3", "--marked", "1"]) == 0
-    capsys.readouterr()
-
-
-def test_trace_volume_cap_exits_3(tmp_path, monkeypatch, capsys):
-    # 25 iterations at n=10 trace 101 * 2**10 amplitudes, over a 2**12 cap.
-    monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "12")
-    trace_path = tmp_path / "trace.json"
-    argv = ["grover", "run", "--qubits", "10", "--marked", "1", "--trace", str(trace_path)]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "101 snapshots" in captured.err
-    assert not trace_path.exists()
-    assert list(tmp_path.iterdir()) == []
-    # A file already at the path keeps its bytes, and nothing is left beside it.
-    trace_path.write_bytes(b"earlier trace")
-    assert main(argv) == 3
-    assert capsys.readouterr().out == ""
-    assert trace_path.read_bytes() == b"earlier trace"
-    assert list(tmp_path.iterdir()) == [trace_path]
-    assert main(argv[:-2]) == 0
-    capsys.readouterr()
-
-
 def test_trace_cap_counts_label_text(tmp_path, monkeypatch, capsys):
     # 32765 snapshots of 2 amplitudes fit 2**16, but the rule also counts
     # 32765 // 1000 = 32 label characters each: one "m" per thousand.
@@ -362,7 +486,8 @@ def test_trace_cap_counts_label_text(tmp_path, monkeypatch, capsys):
     assert main([*argv, "--iterations", "8191"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "32765 snapshots" in captured.err
+    assert captured.err == ("error: a trace of 32765 snapshots at n=1 exceeds 2**16 amplitudes "
+                            "and label characters, the 16-qubit cap\n")
     assert list(tmp_path.iterdir()) == []
     # Below a thousand snapshots the rule counts amplitudes alone.
     assert main([*argv, "--iterations", "249"]) == 0
@@ -388,26 +513,6 @@ def test_huge_qubits_flag_exits_3_before_building_the_oracle(command, monkeypatc
     assert peak < 1 << 20
 
 
-def test_qubit_cap_env_var_garbage_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "abc")
-    assert main(["grover", "run", "--qubits", "2", "--marked", "2"]) == 2
-    assert "GROVERSIM_MAX_QUBITS" in capsys.readouterr().err
-    monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "0")
-    assert main(["grover", "run", "--qubits", "2", "--marked", "2"]) == 2
-    assert ">= 1" in capsys.readouterr().err
-
-
-def test_scan_csv_golden_rows(capsys):
-    assert main(["grover", "scan", "--qubits", "2", "--marked", "2", "--max-iterations", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "t,success_probability"
-    assert lines[1] == "0,0.25"
-    assert len(lines) == 5
-    values = [float(line.split(",")[1]) for line in lines[1:]]
-    assert abs(values[1] - 1.0) <= 1e-12
-    assert abs(values[2] - 0.25) <= 1e-12
-
-
 def test_scan_peak_location(capsys):
     argv = ["grover", "scan", "--qubits", "10", "--marked", "137", "--max-iterations", "60"]
     assert main(argv) == 0
@@ -419,11 +524,8 @@ def test_scan_peak_location(capsys):
     assert best_p > 0.999
 
 
-def test_scan_rejects_zero_iterations(capsys):
-    assert main(["grover", "scan", "--qubits", "2", "--marked", "2", "--max-iterations", "0"]) == 2
-    assert "t_max" in capsys.readouterr().err
-
-
+# The empirical line depends on numpy's bounded-integer stream, so it keeps
+# a tolerance; the analytic line is exact.
 def test_classical_golden(capsys):
     argv = ["classical", "--size", "4", "--marked", "0", "--iterations", "4",
             "--trials", "100000", "--seed", "0"]
@@ -439,82 +541,8 @@ def test_classical_defaults_to_marked_zero(capsys):
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     empirical = float(lines[0].split(": ")[1])
-    analytic = float(lines[1].split(": ")[1])
-    assert abs(analytic - 0.6323002605887288) <= 1e-15
+    assert lines[1] == "analytic: 0.6323002605887288"
     assert abs(empirical - 0.632) <= 0.02
-
-
-def test_classical_zero_iterations(capsys):
-    argv = ["classical", "--size", "4", "--marked", "0", "--iterations", "0", "--trials", "10"]
-    assert main(argv) == 0
-    assert capsys.readouterr().out == "empirical: 0.0\nanalytic: 0.0\n"
-
-
-def test_classical_validation_exits_2(capsys):
-    argv = ["classical", "--size", "4", "--marked", "9", "--iterations", "1", "--trials", "10"]
-    assert main(argv) == 2
-    assert "out of range" in capsys.readouterr().err
-
-
-def test_classical_size_cap_exits_3(monkeypatch, capsys):
-    # The baseline allocates a size-entry lookup table, so --size is capped
-    # at 2**cap before anything is drawn.
-    monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "10")
-    argv = ["classical", "--size", "2048", "--iterations", "1", "--trials", "10"]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "10-qubit cap" in captured.err
-    argv[2] = "1024"
-    assert main(argv) == 0
-
-
-def test_classical_draw_cap_exits_3(monkeypatch, capsys):
-    # 64 * 100000 draws exceed 2**(4 + 4) at a 4-qubit cap.
-    monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "4")
-    argv = ["classical", "--size", "16", "--iterations", "64", "--trials", "100000"]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: 64 * 100000 draws exceed 2**8, the draw cap of the 4-qubit cap\n"
-
-
-def test_circuit_verify(tmp_path, capsys):
-    assert main(["circuit", "verify", write_adder(tmp_path)]) == 0
-    assert capsys.readouterr().out == "reversible: true\n"
-
-
-def test_circuit_verify_cap_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "2")
-    assert main(["circuit", "verify", write_adder(tmp_path)]) == 3
-    assert "cap is 2" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["circuit", "verify", "wide.json"], "wires: must be >= 1 and <= 62, got 70"),
-        (["classical", "--size", str(1 << 70), "--iterations", "1", "--trials", "1"],
-         f"size: must be >= 1 and <= {1 << 62}, got {1 << 70}"),
-    ],
-    ids=["circuit-verify", "classical"],
-)
-def test_more_than_62_index_bits_under_the_cap_exit_2(argv, message, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "100")
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "wide.json").write_text(
-        render_circuit_document(ReversibleCircuit(70, (Gate.cnot(0, 69),))), encoding="utf-8")
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
-
-
-def test_circuit_verify_sixteen_wires(tmp_path, capsys):
-    path = tmp_path / "wide.json"
-    path.write_text(render_circuit_document(random_circuit(16, 16, 40)), encoding="utf-8")
-    assert main(["circuit", "verify", str(path)]) == 0
-    assert capsys.readouterr().out == "reversible: true\n"
 
 
 def test_circuit_verify_reports_a_repeated_index(tmp_path, monkeypatch, capsys):
@@ -522,75 +550,14 @@ def test_circuit_verify_reports_a_repeated_index(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         "groversim.cli.circuit_to_permutation", lambda circuit, cap: np.array([0, 1, 2, 3, 4, 5, 6, 6])
     )
-    assert main(["circuit", "verify", write_adder(tmp_path)]) == 0
+    path = tmp_path / "adder.json"
+    path.write_text(ADDER, encoding="utf-8")
+    assert main(["circuit", "verify", str(path)]) == 0
     assert capsys.readouterr().out == "reversible: false\n"
 
 
-def test_circuit_run(tmp_path, capsys):
-    path = write_adder(tmp_path)
-    assert main(["circuit", "run", path, "--input", "110"]) == 0
-    assert capsys.readouterr().out == "101\n"
-    assert main(["circuit", "run", path, "--input", "000"]) == 0
-    assert capsys.readouterr().out == "000\n"
-
-
-def test_circuit_run_width_mismatch_exits_2(tmp_path, capsys):
-    assert main(["circuit", "run", write_adder(tmp_path), "--input", "11"]) == 2
-    assert "2 bits" in capsys.readouterr().err
-
-
-def test_circuit_run_bad_bitstring_exits_2(tmp_path, capsys):
-    assert main(["circuit", "run", write_adder(tmp_path), "--input", "10x"]) == 2
-    assert "0s and 1s" in capsys.readouterr().err
-
-
-def test_circuit_invert_stdout(tmp_path, capsys):
-    assert main(["circuit", "invert", write_adder(tmp_path)]) == 0
-    parsed = parse_circuit_document(capsys.readouterr().out)
-    assert parsed == inverse_circuit(adder_circuit())
-
-
-def test_circuit_invert_to_file(tmp_path, capsys):
-    out_path = tmp_path / "inverse.json"
-    assert main(["circuit", "invert", write_adder(tmp_path), "--output", str(out_path)]) == 0
-    assert capsys.readouterr().out == ""
-    parsed = parse_circuit_document(out_path.read_text(encoding="utf-8"))
-    assert parsed == inverse_circuit(adder_circuit())
-
-
-INVERTED_TWICE = {
-    "adder": adder_circuit,
-    "one wire": lambda: ReversibleCircuit(1, (Gate.not_(0),)),
-    "two wires": lambda: ReversibleCircuit(2, (Gate.cnot(0, 1), Gate.not_(0), Gate.cnot(1, 0))),
-    "twenty wires": lambda: random_circuit(20, 20, 40),
-    "no gates": lambda: ReversibleCircuit(3, ()),
-}
-
-
-@pytest.mark.parametrize("name", INVERTED_TWICE)
-def test_inverting_a_circuit_document_twice_gives_its_bytes_back(name, tmp_path, capsys):
-    # Once to a file and once to stdout, so both ways of writing are checked.
-    path = tmp_path / "circuit.json"
-    path.write_text(render_circuit_document(INVERTED_TWICE[name]()), encoding="utf-8")
-    inverse = str(tmp_path / "inverse.json")
-    assert main(["circuit", "invert", str(path), "--output", inverse]) == 0
-    assert main(["circuit", "invert", inverse]) == 0
-    assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
-
-
-def test_run_trace_write_error_exits_2(tmp_path, capsys):
-    path = str(tmp_path / "missing" / "t.json")
-    assert main(["grover", "run", "--qubits", "2", "--marked", "2", "--trace", path]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: cannot write trace document {path!r}: ")
-    assert captured.err.count("\n") == 1
-
-
-UNUSABLE_PATHS = pytest.mark.parametrize(
+@pytest.mark.parametrize(
     "path", [os.path.join("missing", "out.json"), ""], ids=["missing directory", "empty"])
-
-
-@UNUSABLE_PATHS
 def test_run_trace_write_error_exits_2_before_running(path, tmp_path, monkeypatch, capsys):
     import groversim.cli
 
@@ -601,8 +568,7 @@ def test_run_trace_write_error_exits_2_before_running(path, tmp_path, monkeypatc
     captured = capsys.readouterr()
     assert calls == []
     assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot write trace document {path!r}: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == f"error: cannot write trace document {path!r}: {ENOENT}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -611,93 +577,6 @@ def test_run_trace_to_a_bare_file_name(tmp_path, monkeypatch, capsys):
     assert main(["grover", "run", "--qubits", "2", "--marked", "2", "--trace", "t.json"]) == 0
     assert capsys.readouterr().out == RUN_GOLDEN
     assert len(parse_trace_document((tmp_path / "t.json").read_text(encoding="utf-8")).steps) == 5
-
-
-@UNUSABLE_PATHS
-def test_circuit_invert_write_error_exits_2(path, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(["circuit", "invert", write_adder(tmp_path), "--output", path]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot write circuit document {path!r}: ")
-    assert captured.err.count("\n") == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["adder.json"]
-
-
-def test_circuit_missing_file_exits_2(tmp_path, capsys):
-    assert main(["circuit", "verify", str(tmp_path / "nope.json")]) == 2
-    assert "cannot read" in capsys.readouterr().err
-
-
-def test_circuit_bad_document_exits_2(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(
-        '{"format_version": "1", "wires": 2, "gates": [{"type": "SWAP", "target": 0}]}',
-        encoding="utf-8",
-    )
-    assert main(["circuit", "verify", str(path)]) == 2
-    assert "gates[0]" in capsys.readouterr().err
-
-
-def test_circuit_verify_of_a_document_nested_too_deeply_exits_2(tmp_path, capsys):
-    path = tmp_path / "nested.json"
-    nested = "[" * 100_000 + "]" * 100_000
-    path.write_text(f'{{"format_version": "1", "wires": {nested}, "gates": []}}', encoding="utf-8")
-    assert main(["circuit", "verify", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: circuit document: invalid JSON: nested too deeply\n"
-
-
-# --help of the search and baseline commands, at 80 columns.
-HELP_GOLDENS = {
-    ("grover", "run"): (
-        "usage: groversim grover run [-h] --qubits N --marked R[,R...] [--iterations T]\n"
-        "                            [--seed S] [--trace PATH] [--format {text,json}]\n"
-        "\n"
-        "options:\n"
-        "  -h, --help            show this help message and exit\n"
-        "  --qubits N            register width; the search space has 2**N states\n"
-        "  --marked R[,R...]     comma-separated marked basis indices\n"
-        "  --iterations T        iteration count or 'auto' for the optimum (default:\n"
-        "                        auto)\n"
-        "  --seed S              measurement seed (default: 0)\n"
-        "  --trace PATH          also write a step-by-step trace document to PATH\n"
-        "  --format {text,json}  stdout format (default: text)\n"
-    ),
-    ("grover", "scan"): (
-        "usage: groversim grover scan [-h] --qubits N --marked R[,R...]\n"
-        "                             --max-iterations T [--format {csv}]\n"
-        "\n"
-        "options:\n"
-        "  -h, --help          show this help message and exit\n"
-        "  --qubits N          register width; the search space has 2**N states\n"
-        "  --marked R[,R...]   comma-separated marked basis indices\n"
-        "  --max-iterations T  scan t = 0..T (T >= 1)\n"
-        "  --format {csv}      output format (default: csv)\n"
-    ),
-    ("classical",): (
-        "usage: groversim classical [-h] --size N [--marked R[,R...]] --iterations K\n"
-        "                           [--trials M] [--seed S]\n"
-        "\n"
-        "options:\n"
-        "  -h, --help         show this help message and exit\n"
-        "  --size N           number of states searched\n"
-        "  --marked R[,R...]  comma-separated marked indices (default: 0)\n"
-        "  --iterations K     uniform draws per trial\n"
-        "  --trials M         Monte Carlo trials (default: 100000)\n"
-        "  --seed S           sampling seed (default: 0)\n"
-    ),
-}
-
-
-@pytest.mark.parametrize("command", list(HELP_GOLDENS), ids=" ".join)
-def test_help_golden(command, monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as info:
-        main([*command, "--help"])
-    assert info.value.code == 0
-    assert capsys.readouterr().out == HELP_GOLDENS[command]
 
 
 # main() builds one parser per process and reuses it; nothing else carries over.
@@ -723,56 +602,3 @@ def test_build_parser_returns_a_new_parser():
     from groversim.cli import build_parser
 
     assert build_parser() is not build_parser()
-
-
-def test_reused_parser_keeps_no_format(capsys):
-    argv = ["grover", "run", "--qubits", "2", "--marked", "2"]
-    assert main([*argv, "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["outcome"] == 2
-    assert main(argv) == 0
-    assert capsys.readouterr().out == RUN_GOLDEN
-
-
-def test_reused_parser_after_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["grover", "run", "--qubits", "x", "--marked", "2"])
-    assert info.value.code == 2
-    capsys.readouterr()
-    assert main(["grover", "run", "--qubits", "2", "--marked", "2"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == RUN_GOLDEN
-    assert captured.err == ""
-
-
-def test_reused_parser_reads_the_cap_on_each_call(monkeypatch, capsys):
-    monkeypatch.delenv("GROVERSIM_MAX_QUBITS", raising=False)
-    argv = ["grover", "run", "--qubits", "4", "--marked", "1"]
-    assert main(argv) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("GROVERSIM_MAX_QUBITS", "3")
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-
-
-def test_reused_parser_gives_the_same_help(monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "80")
-    helps = []
-    for _ in range(2):
-        with pytest.raises(SystemExit) as info:
-            main(["grover", "run", "--help"])
-        assert info.value.code == 0
-        helps.append(capsys.readouterr().out.encode("utf-8"))
-    assert helps[0] == helps[1] == HELP_GOLDENS[("grover", "run")].encode("utf-8")
-
-
-def test_reused_parser_keeps_no_output_path(tmp_path, capsys):
-    adder = write_adder(tmp_path)
-    out_path = tmp_path / "inverse.json"
-    assert main(["circuit", "invert", adder, "--output", str(out_path)]) == 0
-    assert capsys.readouterr().out == ""
-    written = out_path.read_text(encoding="utf-8")
-    assert main(["circuit", "invert", adder]) == 0
-    assert capsys.readouterr().out == written
-    assert out_path.read_text(encoding="utf-8") == written

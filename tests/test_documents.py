@@ -39,7 +39,7 @@ from groversim.documents import (
     _read_written_trace,
 )
 from groversim.reversible import GATE_CONTROL_COUNTS
-from tracing import traced
+from helpers import traced
 
 ADDER_DOC = """{
   "format_version": "1",

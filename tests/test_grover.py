@@ -26,17 +26,7 @@ from groversim import (
     uniform_state,
     walsh_hadamard_fast,
 )
-from tracing import traced
-
-# The four-state search with marked={2} and one iteration, worked by hand:
-# snapshot after init, then after each of the four steps.
-FOUR_STATE_TRACE = [
-    [0.5, 0.5, 0.5, 0.5],
-    [0.5, 0.5, -0.5, 0.5],
-    [0.5, -0.5, 0.5, 0.5],
-    [-0.5, -0.5, 0.5, 0.5],
-    [0.0, 0.0, -1.0, 0.0],
-]
+from helpers import FOUR_STATE_TRACE, closed_form, search_angle, traced
 
 
 def test_oracle_requires_exactly_one_form():
@@ -307,8 +297,7 @@ def first_hump_horizon(size, marked_count):
     # Last integer t with (2t + 1) * theta <= pi, i.e. still on the first
     # rise-and-fall of the success curve. Later humps can drift closer to
     # 1 and are outside what optimal_iterations promises.
-    theta = math.asin(math.sqrt(marked_count / size))
-    return math.floor((math.pi / theta - 1.0) / 2.0)
+    return math.floor((math.pi / search_angle(size, marked_count) - 1.0) / 2.0)
 
 
 def test_optimal_iterations_matches_simulated_argmax():
@@ -342,16 +331,14 @@ CLOSED_FORM_CURVES = [(n, k, None) for n in range(2, 15) for k in (1, 2, 3)] + [
 
 
 def test_dense_scan_follows_the_closed_form_curve():
-    # p(t) = sin((2t + 1) * theta)**2 with theta = asin(sqrt(k / N)). Roundoff
-    # accumulates over iterations (worst measured 5.65e-15 * (t + 1), at
-    # n=16), so the bound grows with t; a flat 1e-12 fails at n=16.
+    # Roundoff accumulates over iterations (worst measured 5.65e-15 * (t + 1),
+    # at n=16), so the bound grows with t; a flat 1e-12 fails at n=16.
     for n, k, horizon in CLOSED_FORM_CURVES:
         size = 1 << n
-        theta = math.asin(math.sqrt(k / size))
         t_max = horizon or max(1, optimal_iterations(size, k))
         config = GroverConfig(n, Oracle(n, marked=set(range(1, k + 1))))
         for t, p in scan_probabilities(config, t_max):
-            assert abs(p - math.sin((2 * t + 1) * theta) ** 2) <= 2e-14 * (t + 1), (n, k, t)
+            assert abs(p - closed_form(size, k, t)) <= 2e-14 * (t + 1), (n, k, t)
 
 
 def test_scan_probabilities_four_state_series():

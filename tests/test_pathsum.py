@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -153,11 +154,17 @@ def test_path_amplitude_validation():
 
 
 def test_enumeration_guard_trips():
-    steps = [StepOp.wh()] * 7  # 16**7 = 2**28 branch product
-    with pytest.raises(ResourceLimitError, match="branches"):
+    # The cap counts the paths a call walks. With an end, the last of 8
+    # transforms goes straight into it, so 7 branch: 16**7 = 2**28 paths.
+    steps = [StepOp.wh()] * 8
+    message = re.escape("path enumeration would exceed 67108864 branches at steps[6]")
+    with pytest.raises(ResourceLimitError, match=message):
         path_amplitude(4, steps, 0, 0)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=message):
         enumerate_paths(4, steps, 0, 0)
+    # With end None, all 7 of 7 transforms branch.
+    with pytest.raises(ResourceLimitError, match=message):
+        enumerate_paths(4, steps[:7], 0)
 
 
 def test_verify_against_matrix_small_sweep():
@@ -252,17 +259,23 @@ def test_path_sums_match_the_float_walker_byte_for_byte(program):
 
 
 def test_path_amplitude_walks_the_leaves_without_a_list():
-    # One node with 2**13 leaves: n=13 is the largest n at which the branch
-    # cap (2**26) admits two transforms. A list of the leaves would take
-    # 64 KiB for its pointers alone.
+    # One node with 2**20 leaves: the last transform goes into end, so the
+    # call walks 2**20 paths. A list of the leaves would take 8 MiB for its
+    # pointers alone.
     steps = [StepOp.wh(), StepOp.flip_marked({3}), StepOp.wh()]
-    path_amplitude(13, steps, 0, 0)
+    path_amplitude(20, steps, 0, 0)
     tracemalloc.start()
     try:
-        got = path_amplitude(13, steps, 0, 5)
+        got = path_amplitude(20, steps, 0, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    assert pack(got) == pack(reference.path_amplitude(13, steps, 0, 5))
-    assert abs(got - 2 / 8192) < 1e-18
+    assert got == 2 / (1 << 20)
+
+
+def test_a_transform_into_the_end_does_not_count_against_the_cap():
+    # 2**14 paths, but 2**28 if the last transform branched, as it was once counted.
+    steps = [StepOp.wh(), StepOp.flip_marked({3}), StepOp.wh()]
+    got = path_amplitude(14, steps, 0, 5)
+    assert pack(got) == pack(reference.path_amplitude(14, steps, 0, 5))

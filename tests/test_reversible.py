@@ -19,20 +19,10 @@ from groversim import (
     uniform_state,
 )
 from groversim.state import _is_permutation
+from helpers import random_circuit
 
 # Lift of the adder to index space, worked by hand over all eight inputs.
 ADDER_PERMUTATION = [0, 3, 2, 5, 4, 7, 6, 1]
-
-
-def random_circuit(rng, wires, gates):
-    touched = {"NOT": 1, "CNOT": 2, "TOFFOLI": 3}
-    kinds = [kind for kind, want in touched.items() if want <= wires]
-    out = []
-    for _ in range(gates):
-        kind = str(rng.choice(kinds))
-        picks = rng.choice(wires, size=touched[kind], replace=False)
-        out.append(Gate(kind, int(picks[0]), tuple(int(c) for c in picks[1:])))
-    return ReversibleCircuit(wires, tuple(out))
 
 
 def test_gate_validation():
