@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import json
 import os
 import shlex
 import shutil
@@ -13,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from groversim import parse_trace_document, render_circuit_document
+from groversim import parse_circuit_document, parse_trace_document, render_circuit_document
 from groversim.cli import main
 from groversim.reversible import Gate, ReversibleCircuit, adder_circuit, inverse_circuit
 from helpers import FOUR_STATE_TRACE, random_circuit
@@ -335,13 +336,56 @@ def test_command_line_case(name, tmp_path, monkeypatch, capsys):
     assert outcome(case, tmp_path / "second", monkeypatch, capsys) == expected(case)
 
 
+def in_sequence(names, where, monkeypatch, capsys):
+    """Runs the rows `names` one after another in one process, each in a new
+    directory under `where`, and checks each against its row."""
+    for i, name in enumerate(names):
+        assert outcome(CLI_CASES[name], where / str(i), monkeypatch, capsys) == expected(
+            CLI_CASES[name]), name
+
+
 def test_command_line_cases_back_to_back(tmp_path, monkeypatch, capsys):
     # Each row after the one before it and after the one after it, so that
     # no call leaves anything in the reused parser that changes the next.
-    names = [*CLI_CASES, *reversed(CLI_CASES)]
-    for i, name in enumerate(names):
-        assert outcome(CLI_CASES[name], tmp_path / str(i), monkeypatch, capsys) == expected(
-            CLI_CASES[name]), name
+    in_sequence([*CLI_CASES, *reversed(CLI_CASES)], tmp_path, monkeypatch, capsys)
+
+
+def test_reused_parser_keeps_no_format(tmp_path, monkeypatch, capsys):
+    in_sequence(["run --format json", "run"], tmp_path, monkeypatch, capsys)
+
+
+def test_reused_parser_keeps_no_output_path(tmp_path, monkeypatch, capsys):
+    in_sequence(["invert --output", "invert"], tmp_path, monkeypatch, capsys)
+
+
+def test_reused_parser_gives_the_same_help(tmp_path, monkeypatch, capsys):
+    in_sequence(["grover run --help", "run", "grover run --help"], tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command", HELP_GOLDENS)
+def test_help_golden(command):
+    # In a new process, as a user's shell runs it, at 80 columns.
+    done = run_command(sys.executable, "-m", "groversim.cli", *command.split(), "--help", COLUMNS="80")
+    assert (done.returncode, done.stdout, done.stderr) == (0, HELP_GOLDENS[command], "")
+
+
+def test_run_json_format(capsys):
+    # The json report carries the figures of the text report, as numbers.
+    assert main([*shlex.split(RUN), "--format", "json"]) == 0
+    raw = json.loads(capsys.readouterr().out)
+    assert main(shlex.split(RUN)) == 0
+    text = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert list(raw) == list(text)
+    assert {key: repr(value) for key, value in raw.items()} == text
+
+
+def test_circuit_invert_to_file(tmp_path, capsys):
+    out_path = tmp_path / "inverse.json"
+    path = tmp_path / "adder.json"
+    path.write_text(ADDER, encoding="utf-8")
+    assert main(["circuit", "invert", str(path), "--output", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert parse_circuit_document(out_path.read_text(encoding="utf-8")) == inverse_circuit(adder_circuit())
 
 
 def test_run_writes_trace_document(tmp_path, capsys):
