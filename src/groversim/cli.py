@@ -79,8 +79,9 @@ def _parse_bitstring(text: str) -> list[int]:
 def _load_circuit(path: str) -> ReversibleCircuit:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot read circuit document {path!r}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValueError(f"cannot read circuit document {path!r}: {reason}") from None
     return parse_circuit_document(text)
 
 

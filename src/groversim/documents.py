@@ -77,7 +77,7 @@ class TraceDocument:
 
     def __post_init__(self) -> None:
         size = 1 << _as_int(self.n, "n", 1, MAX_INDEX_QUBITS)
-        _as_int(self.seed, "seed")
+        _as_int(self.seed, "rng.seed", 0)
         _as_int(self.outcome, "outcome", 0, size - 1)
         _as_int(self.oracle_evals, "oracle_evals", 0)
         _require_str(self.algorithm, "rng.algorithm")
@@ -126,7 +126,7 @@ class _TraceWriter:
 
     def __init__(self, fp: TextIO, n: int, seed: int, algorithm: str = RNG_ALGORITHM) -> None:
         self.size = 1 << _as_int(n, "n", 1, MAX_INDEX_QUBITS)
-        _as_int(seed, "seed")
+        _as_int(seed, "rng.seed", 0)
         _require_str(algorithm, "rng.algorithm")
         fp.write(_head(n, seed, algorithm))
         self.fp, self.steps = fp, 0
@@ -271,7 +271,7 @@ def parse_trace_document(text: str) -> TraceDocument:
 # the reader accepts them only if the writer re-renders them byte for byte.
 # Every step line but the first starts with the "," that ends the last one.
 _HEAD = re.compile(r'\{\n  "format_version": "[^"\n]*",\n  "n": (-?[0-9]+),\n  "rng": '
-                   r'\{"algorithm": ("(?:[^"\\\n]|\\.)*"), "seed": (-?[0-9]+)\},\n  "steps": \[')
+                   r'\{"algorithm": ("(?:[^"\\\n]|\\.)*"), "seed": ([0-9]+)\},\n  "steps": \[')
 _STEP = re.compile(r'(,?)\n    \{"label": ("(?:[^"\\\n]|\\.)*"), "amplitudes": \[\[')
 _TAIL = re.compile(r'(?:\n  )?\],\n  "outcome": (-?[0-9]+),\n  "oracle_evals": (-?[0-9]+)\n\}\n')
 

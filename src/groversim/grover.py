@@ -23,10 +23,11 @@ from .state import (
     _as_int,
     _index_set,
     _require_qubits,
-    basis_state,
     measure,
 )
 from .transforms import _check_width, invert_phase_marked, invert_phase_zero, walsh_hadamard_fast
+# Unused here, but bench/spans.py patches it under this name.
+from .state import basis_state  # noqa: F401
 
 IterationSpec = Union[int, str]
 
@@ -122,9 +123,9 @@ def roman_numeral(value: int) -> str:
 def _step_states(n: int, oracle: Oracle, iterations: int, real: int) -> Iterator[AmplitudeVector]:
     """Run the search's literal steps (flip marked, transform, flip zero,
     transform) in two vectors of 2**n amplitudes, and yield the vector that
-    holds the state: first the transform of basis state 0, built in the
-    pair, then the state after each step. A yielded vector is overwritten
-    by the steps after it; copy it to keep it.
+    holds the state: first the transform of basis state 0, written into the
+    first vector, then the state after each step. A yielded vector is
+    overwritten by the steps after it; copy it to keep it.
 
     With real > 0, the start state and the first `real` iterations run on
     float64 buffers, which hold the real parts of the complex run's
@@ -137,9 +138,8 @@ def _step_states(n: int, oracle: Oracle, iterations: int, real: int) -> Iterator
 
     Every step is a call of a public function by its name in this module,
     where a profiler can wrap it and see each step."""
-    state = basis_state(n, 0, n)
-    if real:
-        state = AmplitudeVector(n, state.amps.real.copy())
+    state = AmplitudeVector(n, np.zeros(1 << n, np.float64 if real else np.complex128))
+    state.amps[0] = 1.0
     state, spare = _transform_in_pair(state)
     yield state
     for i in range(iterations):

@@ -87,7 +87,10 @@ def grover_steps(marked, iterations: int) -> list[StepOp]:
 
 def _check_enumeration(
     n: int, steps: Sequence[StepOp], start: int, end: int | None
-) -> None:
+) -> list[frozenset[int]]:
+    """Check a call's arguments and the paths it walks, and return the table
+    that _Walk takes: the states that each run of flips negates an odd number
+    of times, the run before the first transform, then the run after each."""
     size = 1 << _as_int(n, "n", 1, MAX_INDEX_QUBITS)
     _as_int(start, "start", 0, size - 1)
     # With end given, the last transform goes straight into end and does not
@@ -97,15 +100,22 @@ def _check_enumeration(
         _as_int(end, "end", 0, size - 1)
         pinned = max((i for i, op in enumerate(steps) if op.kind == "wh"), default=-1)
     branches = 1
+    odd = [_NO_STATES]
     for i, op in enumerate(steps):
+        if op.kind == "wh":
+            odd.append(_NO_STATES)
+            if i != pinned:
+                branches *= size
+                if branches > MAX_PATHS:
+                    raise ResourceLimitError(
+                        f"path enumeration would exceed {MAX_PATHS} branches at steps[{i}]"
+                    )
+            continue
         if op.kind == "flip_marked":
             _index_set(size, op.marked, f"steps[{i}] marked index")
-        elif op.kind == "wh" and i != pinned:
-            branches *= size
-            if branches > MAX_PATHS:
-                raise ResourceLimitError(
-                    f"path enumeration would exceed {MAX_PATHS} branches at steps[{i}]"
-                )
+        flipped = _ZERO_STATE if op.kind == "flip_zero" else op.marked
+        odd[-1] = odd[-1] ^ flipped if odd[-1] else flipped  # one flip: its own set
+    return odd
 
 
 class _Walk:
@@ -129,17 +139,8 @@ class _Walk:
     __slots__ = ("steps", "size", "start", "end", "odd", "free", "fold", "leaves", "negated",
                  "root", "magnitude")
 
-    def __init__(self, n: int, steps: Sequence[StepOp], start: int, end: int | None) -> None:
-        # The states that each run of flips negates an odd number of times:
-        # the run before the first transform, then the run after each. A run
-        # of one flip is that flip's own set.
-        odd = [_NO_STATES]
-        for op in steps:
-            if op.kind == "wh":
-                odd.append(_NO_STATES)
-            else:
-                flipped = _ZERO_STATE if op.kind == "flip_zero" else op.marked
-                odd[-1] = odd[-1] ^ flipped if odd[-1] else flipped
+    def __init__(self, n: int, steps: Sequence[StepOp], start: int, end: int | None,
+                 odd: list[frozenset[int]]) -> None:
         transforms = len(odd) - 1
         pinned = end is not None and transforms > 0
         self.free = free = transforms - pinned
@@ -230,8 +231,7 @@ def path_amplitude(n: int, steps: Sequence[StepOp], start: int, end: int) -> flo
     sign of zero. The last step never branches: its contribution is the
     single entry into `end`. An empty program is the identity.
     """
-    _check_enumeration(n, steps, start, end)
-    walk = _Walk(n, steps, start, end)
+    walk = _Walk(n, steps, start, end, _check_enumeration(n, steps, start, end))
     return float(walk.signed_count()) * walk.magnitude
 
 
@@ -244,8 +244,7 @@ def enumerate_paths(
     None, all of them. path_amplitude(n, steps, start, end) equals the sum
     of the amplitudes yielded here. Arguments are checked at call time.
     """
-    _check_enumeration(n, steps, start, end)
-    return _Walk(n, steps, start, end).paths()
+    return _Walk(n, steps, start, end, _check_enumeration(n, steps, start, end)).paths()
 
 
 def verify_against_matrix(n: int, steps: Sequence[StepOp]) -> float:

@@ -1,8 +1,11 @@
 """Fixtures that several test files share: a traced run read back, the
-four-state trace worked by hand, a seeded random circuit and the
-closed-form success curve."""
+four-state trace worked by hand, a seeded random circuit, the closed-form
+success curve and the benchmark's modules."""
+import importlib.util
 import io
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -48,3 +51,13 @@ def search_angle(size, k):
 def closed_form(size, k, t):
     """The success probability after t iterations, sin((2t + 1) * theta)**2."""
     return math.sin((2 * t + 1) * search_angle(size, k)) ** 2
+
+
+def load_bench(name):
+    """bench/<name>.py, loaded from its file: bench/ is not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

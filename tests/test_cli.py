@@ -77,7 +77,8 @@ class Case(NamedTuple):
     """A command-line case: the argv, as shell words, run in a new directory
     holding `files`, and what main gives: the exit code, the exact stdout
     and stderr, and the files left, `files` unchanged where `after` is None.
-    A file is its text; a directory is a dict of its entries."""
+    A file is its text, with surrogate escapes for bytes that are not UTF-8;
+    a directory is a dict of its entries."""
 
     argv: str
     code: int = 0
@@ -97,6 +98,10 @@ NO_INTEGER = {"GROVERSIM_MAX_QUBITS": "abc"}
 NOT_AN_INTEGER = "error: GROVERSIM_MAX_QUBITS must be an integer, got 'abc'\n"
 ADDER_FILE = {"adder.json": ADDER}
 NESTED = "[" * 100_000 + "]" * 100_000
+# Bytes that are not UTF-8, held in a str as surrogate escapes.
+NOT_UTF8_FILE = {"bad.json": b"\xff\xfe{}".decode("utf-8", "surrogateescape")}
+NOT_UTF8_ERROR = ("error: cannot read circuit document 'bad.json': "
+                  "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
 # Circuits inverted twice, once to a file and once to stdout: each name's
 # document and its inverse's.
 INVERSES = {
@@ -251,7 +256,12 @@ CLI_CASES = {
         "wide.json": render_circuit_document(random_circuit(np.random.default_rng(16), 16, 40))}),
     "verify a missing file": Case(
         "circuit verify nope.json", 2,
-        err=f"error: cannot read circuit document 'nope.json': [Errno {errno.ENOENT}] {ENOENT}: 'nope.json'\n"),
+        err=f"error: cannot read circuit document 'nope.json': {ENOENT}\n"),
+    "verify a directory": Case(
+        "circuit verify adder", 2, files={"adder": ADDER_FILE},
+        err=f"error: cannot read circuit document 'adder': {os.strerror(errno.EISDIR)}\n"),
+    "verify a file that is not UTF-8": Case("circuit verify bad.json", 2, files=NOT_UTF8_FILE,
+                                            err=NOT_UTF8_ERROR),
     "verify a SWAP gate": Case(
         "circuit verify bad.json", 2,
         files={"bad.json": '{"format_version": "1", "wires": 2, "gates": [{"type": "SWAP", "target": 0}]}'},
@@ -269,6 +279,8 @@ CLI_CASES = {
                             err="error: input must be a non-empty string of 0s and 1s, got '10x'\n"),
     "circuit run, empty input": Case("circuit run adder.json --input ''", 2, files=ADDER_FILE,
                                      err="error: input must be a non-empty string of 0s and 1s, got ''\n"),
+    "circuit run, a file that is not UTF-8": Case("circuit run bad.json --input 110", 2,
+                                                  files=NOT_UTF8_FILE, err=NOT_UTF8_ERROR),
     "circuit run, cap abc": Case("circuit run adder.json --input 110", env=NO_INTEGER,
                                  files=ADDER_FILE, out="101\n"),
     "invert --output": Case("circuit invert adder.json --output inverse.json", files=ADDER_FILE,
@@ -295,11 +307,12 @@ def place(where, files):
             (where / name).mkdir()
             place(where / name, text)
         else:
-            (where / name).write_text(text, encoding="utf-8")
+            (where / name).write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 def listing(where):
-    return {path.name: listing(path) if path.is_dir() else path.read_text(encoding="utf-8")
+    return {path.name: listing(path) if path.is_dir()
+            else path.read_text(encoding="utf-8", errors="surrogateescape")
             for path in where.iterdir()}
 
 
