@@ -87,11 +87,11 @@ def _load_circuit(path: str) -> ReversibleCircuit:
 
 @contextmanager
 def _output_file(path: str, kind: str) -> Iterator[TextIO]:
-    """A new file beside path that replaces path when the block ends. If
-    anything fails first, the file is removed and path is left as it was;
-    an OSError becomes a ValueError naming the document. An empty path or
-    a directory at path is refused before the file is made."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+    """A new file beside path, under a name no other run holds, that replaces
+    path when the block ends. If anything fails first, the file is removed and
+    path is left as it was; an OSError becomes a ValueError naming the document.
+    An empty path or a directory at path is refused before the file is made."""
+    tmp = f"{path}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
     made = False
     try:
         if not path:
@@ -236,18 +236,18 @@ def build_parser() -> argparse.ArgumentParser:
     circuit = sub.add_parser("circuit", help="reversible-circuit tools")
     csub = circuit.add_subparsers(dest="circuit_command", required=True)
 
-    verify_p = csub.add_parser("verify", help="exhaustively check a circuit document for reversibility")
-    verify_p.add_argument("path", help="circuit document (JSON)")
+    document = argparse.ArgumentParser(add_help=False)
+    document.add_argument("path", help="circuit document (JSON)")
+    verify_p = csub.add_parser("verify", parents=[document],
+                               help="exhaustively check a circuit document for reversibility")
     verify_p.set_defaults(handler=cmd_circuit_verify)
 
-    crun_p = csub.add_parser("run", help="run a circuit document on a classical input")
-    crun_p.add_argument("path", help="circuit document (JSON)")
+    crun_p = csub.add_parser("run", parents=[document], help="run a circuit document on a classical input")
     crun_p.add_argument("--input", required=True, metavar="BITS",
                         help="bit string; the leftmost character is wire 0")
     crun_p.set_defaults(handler=cmd_circuit_run)
 
-    invert_p = csub.add_parser("invert", help="emit the inverse circuit document")
-    invert_p.add_argument("path", help="circuit document (JSON)")
+    invert_p = csub.add_parser("invert", parents=[document], help="emit the inverse circuit document")
     invert_p.add_argument("--output", metavar="PATH",
                           help="write here instead of stdout")
     invert_p.set_defaults(handler=cmd_circuit_invert)

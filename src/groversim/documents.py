@@ -61,10 +61,10 @@ def _format_floats(values: np.ndarray) -> list[str]:
 class TraceDocument:
     """In-memory form of a trace file: labeled snapshots plus run metadata.
 
-    Construction checks every rule of the format and names fields as the
-    file does. The four integer fields must be int and not bool, so that
-    they render as JSON integers, and the algorithm and labels must be
-    strings; n stops at 62 because indices are int64; unit norm implies
+    Construction checks every rule of the format, in the file's order, and
+    names fields as the file does. The four integer fields must be int and not
+    bool, so that they render as JSON integers, and the algorithm and labels
+    must be strings; n stops at 62 as indices are int64; unit norm implies
     finite amplitudes, and the norm test is written so that NaN fails too."""
 
     format_version: ClassVar[str] = TRACE_FORMAT_VERSION
@@ -77,12 +77,12 @@ class TraceDocument:
 
     def __post_init__(self) -> None:
         size = 1 << _as_int(self.n, "n", 1, MAX_INDEX_QUBITS)
-        _as_int(self.seed, "rng.seed", 0)
-        _as_int(self.outcome, "outcome", 0, size - 1)
-        _as_int(self.oracle_evals, "oracle_evals", 0)
         _require_str(self.algorithm, "rng.algorithm")
+        _as_int(self.seed, "rng.seed", 0)
         self.steps = [(_require_str(label, f"steps[{i}].label"), _snapshot(i, amps, size))
                       for i, (label, amps) in enumerate(self.steps)]
+        _as_int(self.outcome, "outcome", 0, size - 1)
+        _as_int(self.oracle_evals, "oracle_evals", 0)
 
 
 def _require_str(value: Any, name: str) -> str:
@@ -126,8 +126,8 @@ class _TraceWriter:
 
     def __init__(self, fp: TextIO, n: int, seed: int, algorithm: str = RNG_ALGORITHM) -> None:
         self.size = 1 << _as_int(n, "n", 1, MAX_INDEX_QUBITS)
-        _as_int(seed, "rng.seed", 0)
         _require_str(algorithm, "rng.algorithm")
+        _as_int(seed, "rng.seed", 0)
         fp.write(_head(n, seed, algorithm))
         self.fp, self.steps = fp, 0
         self.bits: np.ndarray | None = None

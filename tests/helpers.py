@@ -1,15 +1,19 @@
 """Fixtures that several test files share: a traced run read back, the
-four-state trace worked by hand, a seeded random circuit, the closed-form
-success curve and the benchmark's modules."""
+four-state trace worked by hand, a seeded random circuit and unit vector,
+the closed-form success curve, the benchmark's modules, a memory probe
+around a block and a command run in a new process."""
 import importlib.util
 import io
 import math
+import os
+import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from groversim import Gate, ReversibleCircuit, parse_trace_document, run_grover
+from groversim import AmplitudeVector, Gate, ReversibleCircuit, parse_trace_document, run_grover
 
 # The four-state search with marked={2} and one iteration, worked by hand:
 # snapshot after init, then after each of the four steps.
@@ -43,6 +47,12 @@ def random_circuit(rng, wires, gates):
     return ReversibleCircuit(wires, tuple(out))
 
 
+def random_unit_vector(rng, n):
+    """An n-qubit state of complex amplitudes drawn from rng, normalized."""
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return AmplitudeVector(n, amps / np.linalg.norm(amps))
+
+
 def search_angle(size, k):
     """theta with sin(theta)**2 = k / size, for k of size states marked."""
     return math.asin(math.sqrt(k / size))
@@ -61,3 +71,26 @@ def load_bench(name):
     sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+class MemoryProbe:
+    """Traces the allocations of a with block: `peak` is the block's peak,
+    `start` and `end` the traced size at entry and at exit, all in bytes.
+    Tracing stops when the block ends, also when it raises."""
+
+    def __enter__(self):
+        tracemalloc.start()
+        self.start, _ = tracemalloc.get_traced_memory()
+        return self
+
+    def __exit__(self, *exc):
+        self.end, self.peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+
+
+def run_command(*command, **environ):
+    """A new process running command, with environ added to the environment
+    and the package's sources on the interpreter's path."""
+    pythonpath = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    return subprocess.run(command, capture_output=True, text=True, env=env)

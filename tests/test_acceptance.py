@@ -35,8 +35,7 @@ from groversim import (
     wh_matrix_entry,
 )
 from groversim.reversible import Gate, ReversibleCircuit
-from groversim.state import AmplitudeVector
-from helpers import FOUR_STATE_TRACE, traced
+from helpers import FOUR_STATE_TRACE, random_unit_vector, traced
 
 SIGN_TABLE = np.array([
     [1, 1, 1, 1],
@@ -54,11 +53,6 @@ def criterion(number, name):
         print(f"[FAIL] criterion {number}: {name}")
         raise
     print(f"[PASS] criterion {number}: {name}")
-
-
-def random_unit_vector(n, rng):
-    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    return AmplitudeVector(n, amps / np.linalg.norm(amps))
 
 
 def test_criterion_01_four_state_trace():
@@ -116,7 +110,7 @@ def test_criterion_04_transform_properties():
         checked = 0
         for n in range(1, 13):
             for _ in range(9):
-                state = random_unit_vector(n, rng)
+                state = random_unit_vector(rng, n)
                 once = walsh_hadamard_fast(state)
                 assert abs(np.linalg.norm(once.amps) - 1.0) <= 1e-10
                 twice = walsh_hadamard_fast(once)
@@ -125,7 +119,7 @@ def test_criterion_04_transform_properties():
         assert checked >= 100
         for n in range(1, 11):
             for _ in range(3):
-                state = random_unit_vector(n, rng)
+                state = random_unit_vector(rng, n)
                 fast = walsh_hadamard_fast(state)
                 naive = walsh_hadamard_naive(state)
                 assert np.max(np.abs(fast.amps - naive.amps)) <= 1e-12

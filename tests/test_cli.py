@@ -5,10 +5,7 @@ import os
 import shlex
 import shutil
 import stat
-import subprocess
 import sys
-import tracemalloc
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -17,7 +14,7 @@ import pytest
 from groversim import parse_circuit_document, parse_trace_document, render_circuit_document
 from groversim.cli import main
 from groversim.reversible import Gate, ReversibleCircuit, adder_circuit, inverse_circuit
-from helpers import FOUR_STATE_TRACE, random_circuit
+from helpers import FOUR_STATE_TRACE, MemoryProbe, random_circuit, run_command
 
 
 def report(iterations, outcome, probability, evals):
@@ -29,14 +26,6 @@ def report(iterations, outcome, probability, evals):
 RUN_GOLDEN = report(1, 2, "0.9999999999999991", 1)
 ENOENT = os.strerror(errno.ENOENT)
 ADDER = render_circuit_document(adder_circuit())
-
-
-def run_command(*command, **environ):
-    """A new process running command, with environ added to the environment
-    and the package's sources on the interpreter's path."""
-    pythonpath = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-    return subprocess.run(command, capture_output=True, text=True, env=env)
 
 
 def test_importing_the_cli_leaves_numpy_random_out():
@@ -120,7 +109,7 @@ def usage_error(message):
     return RUN_USAGE + f"groversim grover run: error: {message}\n"
 
 
-# --help of the search and baseline commands, at 80 columns.
+# --help of every command that runs, at 80 columns.
 HELP_GOLDENS = {
     "grover run": RUN_USAGE + (
         "\n"
@@ -156,6 +145,35 @@ HELP_GOLDENS = {
         "  --iterations K     uniform draws per trial\n"
         "  --trials M         Monte Carlo trials (default: 100000)\n"
         "  --seed S           sampling seed (default: 0)\n"
+    ),
+    "circuit verify": (
+        "usage: groversim circuit verify [-h] path\n"
+        "\n"
+        "positional arguments:\n"
+        "  path        circuit document (JSON)\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    "circuit run": (
+        "usage: groversim circuit run [-h] --input BITS path\n"
+        "\n"
+        "positional arguments:\n"
+        "  path          circuit document (JSON)\n"
+        "\n"
+        "options:\n"
+        "  -h, --help    show this help message and exit\n"
+        "  --input BITS  bit string; the leftmost character is wire 0\n"
+    ),
+    "circuit invert": (
+        "usage: groversim circuit invert [-h] [--output PATH] path\n"
+        "\n"
+        "positional arguments:\n"
+        "  path           circuit document (JSON)\n"
+        "\n"
+        "options:\n"
+        "  -h, --help     show this help message and exit\n"
+        "  --output PATH  write here instead of stdout\n"
     ),
 }
 
@@ -442,28 +460,20 @@ def test_run_trace_peaks_below_its_snapshots_plus_half_a_mebibyte(tmp_path, caps
     # The document is written one snapshot at a time, so besides the run's
     # (4t + 1) snapshots of 2**n amplitudes little more is held.
     path = tmp_path / "trace.json"
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         assert main(["grover", "run", "--qubits", "10", "--marked", "3", "--trace", str(path)]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert capsys.readouterr().out.startswith("iterations: 25\n")
-    assert peak < (4 * 25 + 1) * 16 * 2**10 + (512 << 10)
+    assert probe.peak < (4 * 25 + 1) * 16 * 2**10 + (512 << 10)
 
 
 def test_run_trace_holds_no_snapshots(tmp_path, capsys):
     # An n=12 auto trace has 201 snapshots of 64 KiB; the run writes each
     # as the engine yields it.
     path = tmp_path / "trace.json"
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         assert main(["grover", "run", "--qubits", "12", "--marked", "3", "--trace", str(path)]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert capsys.readouterr().out.startswith("iterations: 50\n")
-    assert peak < 2 << 20
+    assert probe.peak < 2 << 20
 
 
 def test_run_trace_file_mode_is_that_of_a_new_file(tmp_path, capsys):
@@ -512,6 +522,25 @@ def test_failed_trace_rename_exits_2_before_the_report(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize(
+    "argv, parse",
+    [(f"{RUN} --trace out.json", parse_trace_document),
+     ("circuit invert adder.json --output out.json", parse_circuit_document)],
+    ids=["grover run --trace", "circuit invert --output"],
+)
+def test_a_temporary_file_left_by_a_killed_run_does_not_block_the_write(
+        argv, parse, tmp_path, monkeypatch, capsys):
+    # A run killed before its rename leaves its temporary file behind, and a
+    # later run, in a container, often gets the same pid. A file named
+    # PATH.<pid>.tmp blocks no write and is left as it is.
+    leftover = {f"out.json.{os.getpid()}.tmp": "left by a killed run"}
+    case = Case(argv, files={**ADDER_FILE, **leftover})
+    code, _, err, files = outcome(case, tmp_path / "run", monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    parse(files.pop("out.json"))
+    assert files == case.files
+
+
 def test_run_trace_snapshot_off_the_unit_norm_exits_2_and_keeps_the_earlier_file(
         tmp_path, monkeypatch, capsys):
     import groversim.grover
@@ -558,16 +587,12 @@ def test_huge_qubits_flag_exits_3_before_building_the_oracle(command, monkeypatc
     argv = ["grover", command, "--qubits", "1000000000", "--marked", "1"]
     if command == "scan":
         argv += ["--max-iterations", "2"]
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         assert main(argv) == 3
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: n=1000000000 exceeds the 24-qubit cap\n"
-    assert peak < 1 << 20
+    assert probe.peak < 1 << 20
 
 
 def test_scan_peak_location(capsys):

@@ -2,7 +2,6 @@ import dataclasses
 import io
 import json
 import math
-import tracemalloc
 from functools import reduce
 from types import SimpleNamespace
 from unittest import mock
@@ -36,7 +35,7 @@ from groversim.documents import (
     _read_written_trace,
 )
 from groversim.reversible import GATE_CONTROL_COUNTS
-from helpers import load_bench, traced
+from helpers import MemoryProbe, load_bench, traced
 
 ADDER_DOC = """{
   "format_version": "1",
@@ -240,14 +239,10 @@ def test_trace_round_trip_with_empty_steps():
 def test_a_trace_with_no_steps_renders_and_parses_in_little_memory_at_any_n():
     # The writer sizes what it keeps of a snapshot at the first one, so an
     # empty trace costs nothing of its 2**n.
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         text = render_trace_document(TraceDocument(62, 0, [], 0, 0))
         assert render_trace_document(parse_trace_document(text)) == text
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert probe.peak < 1 << 20
 
 
 def one_qubit_document(amps):
@@ -291,14 +286,10 @@ def test_the_writer_renders_any_array_the_constructor_takes_as_built(amps):
 def test_the_writer_refuses_a_huge_n_set_after_construction_in_little_memory():
     doc = TraceDocument(1, 0, [], 0, 0)
     doc.n = 10**9
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         with pytest.raises(ValueError, match="^n: must be >= 1 and <= 62, got 1000000000$"):
             render_trace_document(doc)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert probe.peak < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -325,6 +316,35 @@ def test_the_writer_refuses_a_field_the_constructor_refuses(field, value, messag
     assert str(written.value) == str(built.value) == message
     # Each field is checked before the text that holds it is written.
     assert valid.startswith(out.getvalue())
+
+
+# Two faults in one document: each route names the one that comes first in
+# the file, whatever order the fields are set in.
+@pytest.mark.parametrize(
+    "fields, edits, message",
+    [
+        (dict(algorithm=5, outcome=7), {"rng.algorithm": 5, "outcome": 7},
+         "rng.algorithm: expected a string, got 5"),
+        (dict(outcome=9, steps=[(7, np.array([1, 0j]))]), {"outcome": 9, "steps.0.label": 7},
+         "steps[0].label: expected a string, got 7"),
+        (dict(seed=-1, algorithm=5), {"rng.seed": -1, "rng.algorithm": 5},
+         "rng.algorithm: expected a string, got 5"),
+    ],
+    ids=["algorithm and outcome", "label and outcome", "seed and algorithm"],
+)
+def test_every_route_names_the_first_fault_in_the_file(fields, edits, message):
+    doc = TraceDocument(1, 0, [("i", np.array([1, 0j]))], 0, 0)
+    valid = render_trace_document(doc)
+    with pytest.raises(ValueError) as built:
+        dataclasses.replace(doc, **fields)
+    for name, value in fields.items():
+        setattr(doc, name, value)
+    with pytest.raises(ValueError) as written:
+        render_trace_document(doc)
+    with pytest.raises(ValueError) as parsed:
+        parse_trace_document(rewritten(edits, lambda: valid)())
+    assert str(built.value) == str(written.value) == message
+    assert str(parsed.value) == f"trace document: {message}"
 
 
 # The integer fields, each with the name the file and the messages give it.
@@ -363,20 +383,23 @@ def trace_document_fields(draw):
 
 def first_fault(fields):
     """The message of the first rule the constructor checks that fields
-    break, or None: the integer fields, the algorithm, then each step's
-    label and norm in turn."""
-    for name, shown in INT_FIELDS.items():
-        if type(fields[name]) is not int:
-            return f"{shown}: expected an integer, got {fields[name]!r}"
+    break, or None. The checks go in the file's order: n, the algorithm,
+    the seed, each step's label and norm in turn, outcome, oracle_evals."""
+    wrong = {name: f"{shown}: expected an integer, got {fields[name]!r}"
+             for name, shown in INT_FIELDS.items() if type(fields[name]) is not int}
+    if "n" in wrong:
+        return wrong["n"]
     if not isinstance(fields["algorithm"], str):
         return f"rng.algorithm: expected a string, got {fields['algorithm']!r}"
+    if "seed" in wrong:
+        return wrong["seed"]
     for i, (label, amps) in enumerate(fields["steps"]):
         if not isinstance(label, str):
             return f"steps[{i}].label: expected a string, got {label!r}"
         drift = abs(float(np.linalg.norm(amps)) - 1.0)
         if not drift <= TRACE_NORM_TOLERANCE:
             return f"steps[{i}]: snapshot norm differs from 1 by {drift:g}"
-    return None
+    return wrong.get("outcome", wrong.get("oracle_evals"))
 
 
 # Huge drawn parts overflow the norm of a snapshot the constructor rejects.
@@ -449,14 +472,10 @@ def test_parse_trace_rejects_a_huge_n_without_allocating():
         '{"format_version": "1", "n": 1000000000, "rng": {"algorithm": "pcg64", "seed": 0}, '
         '"steps": [], "outcome": 0, "oracle_evals": 0}'
     )
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         with pytest.raises(ValueError, match="trace document: n: must be >= 1 and <= 62"):
             parse_trace_document(text)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert probe.peak < 1 << 20
     with pytest.raises(ValueError, match="trace document: n: must be >= 1 and <= 62"):
         parse_trace_document(text.replace("1000000000", str(10**30)))
 
@@ -472,14 +491,10 @@ def test_parse_trace_peaks_below_the_text_length(qubits, tmp_path, capsys):
     capsys.readouterr()
     text = path.read_text(encoding="utf-8")
     for parse in (parse_trace_document, _parse_trace_json):
-        tracemalloc.start()
-        try:
+        with MemoryProbe() as probe:
             doc = parse(text)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert len(doc.steps) > 50
-        assert peak < len(text)
+        assert probe.peak < len(text)
 
 
 def assert_same_document(parsed, doc):

@@ -1,7 +1,6 @@
 import io
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from groversim import (
     uniform_state,
     walsh_hadamard_fast,
 )
-from helpers import FOUR_STATE_TRACE, closed_form, search_angle, traced
+from helpers import FOUR_STATE_TRACE, MemoryProbe, closed_form, search_angle, traced
 
 
 def test_oracle_requires_exactly_one_form():
@@ -44,14 +43,10 @@ def test_oracle_rejects_out_of_range_marked():
 
 
 def test_oracle_rejects_a_huge_n_before_computing_the_size():
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         with pytest.raises(ValueError, match="n: must be >= 1 and <= 62, got 100000000"):
             Oracle(10**8, marked={1})
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert probe.peak < 1 << 20
     with pytest.raises(ValueError, match="n: must be >= 1 and <= 62, got 0"):
         Oracle(0, predicate=bool)
     assert Oracle(62, marked={(1 << 62) - 1}).marked_count == 1
@@ -436,13 +431,9 @@ def test_untraced_run_and_scan_keep_few_states_alive():
         (lambda: scan_probabilities(GroverConfig(n, oracle), 3), 1.1),
     )
     for call, bound in calls:
-        tracemalloc.start()
-        try:
+        with MemoryProbe() as probe:
             call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < bound * state_bytes
+        assert probe.peak < bound * state_bytes
 
 
 def test_traced_run_volume_is_capped_before_simulating():
@@ -476,13 +467,9 @@ def test_traced_run_volume_is_capped_before_simulating():
 def test_a_huge_cap_is_checked_without_building_its_power_of_two(run):
     # 2**(10**8) alone would take 12.5 MB.
     run(24)
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         run(10**8)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20
+    assert probe.peak < 2 << 20
 
 
 @pytest.mark.parametrize("count", [2.5, 2.0, True, np.int64(2)])
@@ -535,14 +522,10 @@ def test_classical_baseline_validation():
 def test_classical_baseline_caps_size_before_allocating():
     # The lookup table for 2**26 states would take 64 MiB; the default cap
     # is 24 qubits.
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         with pytest.raises(ResourceLimitError, match=r"^size 67108864 exceeds 2\*\*24, the 24-qubit cap$"):
             classical_baseline(2**26, {0}, 1, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert probe.peak < 1 << 20
     with pytest.raises(ResourceLimitError, match="the 3-qubit cap"):
         classical_baseline(9, {0}, 1, 1, max_qubits=3)
     assert classical_baseline(8, {0}, 1, 1, max_qubits=3).analytic == 0.125
@@ -563,25 +546,17 @@ def test_classical_baseline_caps_draws():
 
 def test_classical_baseline_draws_a_long_trial_in_pieces():
     # One row of 2**24 draws would take 144 MiB (8 bytes a draw, 1 for its hit).
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         assert classical_baseline(16, {0}, 2**24, 1).empirical == 1.0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20
+    assert probe.peak < 4 << 20
 
 
 def test_classical_baseline_draws_whole_trials_in_small_pieces():
     # 20000 trials of 64 draws in one block would peak at 176 times the
     # 64 KiB of a 4096-amplitude state.
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         classical_baseline(4096, {1, 2, 3}, 64, 20000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 16 * 4096
+    assert probe.peak < 16 * 16 * 4096
 
 
 def test_classical_baseline_does_not_depend_on_the_piece(monkeypatch):

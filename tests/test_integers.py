@@ -2,7 +2,6 @@
 bool, within its bounds, refused before anything is allocated. Index sets
 also take numpy integers and integer arrays, and a boolean array as a mask."""
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +38,7 @@ from groversim import (
     wh_matrix_entry,
     wh_sign,
 )
+from helpers import MemoryProbe
 
 
 def config(**kwargs):
@@ -225,14 +225,10 @@ def test_a_bool_seed_is_refused_before_any_run():
     ids=["AmplitudeVector", "wh_matrix_entry", "path_amplitude"],
 )
 def test_a_huge_n_is_refused_before_computing_the_size(call):
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         with pytest.raises(ValueError, match="^n: must be >= 1 and <= 62, got 1000000000$"):
             call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert probe.peak < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -242,14 +238,10 @@ def test_a_huge_n_is_refused_before_computing_the_size(call):
 )
 def test_a_state_under_a_huge_cap_is_refused_before_computing_the_size(call):
     # The cap check passes, so the 62-qubit index limit must refuse n before 1 << n.
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         with pytest.raises(ValueError, match="^n: must be >= 1 and <= 62, got 100000000$"):
             call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert probe.peak < 1 << 20
 
 
 def test_index_to_bits_width_stops_at_62():
@@ -271,11 +263,7 @@ def test_index_to_bits_width_stops_at_62():
 def test_the_lift_and_the_baseline_under_a_huge_cap_stop_at_62_index_bits(call, message):
     # The cap check passes, so the 62-bit index limit must refuse the size
     # before a table of that many entries is asked for.
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert probe.peak < 1 << 20

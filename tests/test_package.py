@@ -1,5 +1,7 @@
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import groversim
 from helpers import load_bench
@@ -26,3 +28,13 @@ def test_every_name_the_benchmark_patches_resolves():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in spans.library_targets(lib) if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_only_the_shared_probe_starts_tracemalloc():
+    # Tests bound memory through helpers.MemoryProbe, which traces only its
+    # block and stops tracing when the block raises.
+    callers = [f"{path.name}:{node.lineno}"
+               for path in sorted(Path(__file__).parent.glob("*.py")) if path.name != "helpers.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "tracemalloc.start"]
+    assert callers == []

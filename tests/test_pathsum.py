@@ -1,13 +1,8 @@
 import math
-import os
 import re
 import struct
-import subprocess
 import sys
-import tracemalloc
-from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +18,7 @@ from groversim import (
     wh_matrix_entry,
 )
 import pathsum_reference as reference
+from helpers import MemoryProbe, run_command
 
 
 def test_step_op_validation():
@@ -121,10 +117,8 @@ def test_first_verify_call_allocates_little():
         "verify_against_matrix(2, grover_steps({1}, 1))\n"
         "print(tracemalloc.get_traced_memory()[1])\n"
     )
-    pythonpath = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
+    done = run_command(sys.executable, "-c", code)
+    assert done.returncode == 0, done.stderr
     assert int(done.stdout) < 64 * 1024
 
 
@@ -264,13 +258,9 @@ def test_path_amplitude_walks_the_leaves_without_a_list():
     # pointers alone.
     steps = [StepOp.wh(), StepOp.flip_marked({3}), StepOp.wh()]
     path_amplitude(20, steps, 0, 0)
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         got = path_amplitude(20, steps, 0, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024
+    assert probe.peak < 64 * 1024
     assert got == 2 / (1 << 20)
 
 

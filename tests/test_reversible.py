@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,7 @@ from groversim import (
     uniform_state,
 )
 from groversim.state import _is_permutation
-from helpers import random_circuit
+from helpers import MemoryProbe, random_circuit, random_unit_vector
 
 # Lift of the adder to index space, worked by hand over all eight inputs.
 ADDER_PERMUTATION = [0, 3, 2, 5, 4, 7, 6, 1]
@@ -164,13 +162,9 @@ def test_is_permutation_rejects_negative_out_of_range_and_repeated_values():
 def test_is_permutation_needs_a_byte_an_index():
     # An int64 count per index would take 8 MiB at 2**20 entries.
     values = np.random.default_rng(9).permutation(1 << 20)
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         assert _is_permutation(values)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < (1 << 20) + (64 << 10)
+    assert probe.peak < (1 << 20) + (64 << 10)
 
 
 def test_bits_index_round_trip():
@@ -262,24 +256,16 @@ def test_lift_memory_stays_under_twelve_bytes_an_input():
     # The table is 8 bytes an input; at 18 wires the three groups of packed
     # planes, transposed once, add about 3 more.
     circuit = random_circuit(np.random.default_rng(36), 18, 36)
-    tracemalloc.start()
-    try:
+    with MemoryProbe() as probe:
         circuit_to_permutation(circuit)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 << 18
+    assert probe.peak <= 12 << 18
 
 
 def test_lifted_permutation_drives_state_vectors():
     # Applying the lifted adder to an amplitude vector relabels amplitudes
     # exactly as the classical table says.
     rng = np.random.default_rng(33)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amps /= np.linalg.norm(amps)
-    from groversim import AmplitudeVector
-
-    v = AmplitudeVector(3, amps)
+    v = random_unit_vector(rng, 3)
     perm = circuit_to_permutation(adder_circuit())
     moved = apply_permutation(v, perm)
     for x in range(8):

@@ -14,11 +14,7 @@ from groversim import (
     probability,
     uniform_state,
 )
-
-
-def random_unit_vector(rng, n):
-    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return AmplitudeVector(n, amps / np.linalg.norm(amps))
+from helpers import random_unit_vector
 
 
 def test_basis_state_is_one_hot():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,6 +22,7 @@ from groversim import (
     wh_matrix_entry,
     wh_sign,
 )
+from helpers import MemoryProbe, random_unit_vector
 
 # Sign table for n=2, recomputed by hand from the popcount parity of q AND r.
 SIGN_TABLE = [
@@ -31,11 +31,6 @@ SIGN_TABLE = [
     [1, 1, -1, -1],
     [1, -1, -1, 1],
 ]
-
-
-def random_unit_vector(rng, n):
-    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return AmplitudeVector(n, amps / np.linalg.norm(amps))
 
 
 def test_wh_sign_worked_example():
@@ -129,27 +124,18 @@ def test_naive_transform_peaks_at_a_block_of_rows():
     # and 2308 at n=12.
     for n in (10, 12):
         state = basis_state(n, 1)
-        tracemalloc.start()
-        try:
+        with MemoryProbe() as probe:
             walsh_hadamard_naive(state)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 40 * state.amps.nbytes
+        assert probe.peak < 40 * state.amps.nbytes
 
 
 def test_naive_transform_retains_nothing():
     # Each call builds its matrix a block of rows at a time (1.1 MiB at n=12)
     # and drops the last block on return.
-    tracemalloc.start()
-    try:
-        start, _ = tracemalloc.get_traced_memory()
+    with MemoryProbe() as probe:
         for n in (10, 11, 12):
             walsh_hadamard_naive(basis_state(n, 1))
-        end, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert end - start < 1 << 20
+    assert probe.end - probe.start < 1 << 20
 
 
 def test_naive_transform_refuses_large_registers():
