@@ -88,9 +88,10 @@ class MemoryProbe:
         tracemalloc.stop()
 
 
-def run_command(*command, **environ):
+def run_command(*command, timeout=None, **environ):
     """A new process running command, with environ added to the environment
-    and the package's sources on the interpreter's path."""
+    and the package's sources on the interpreter's path; it is killed after
+    timeout seconds, if given, and subprocess.TimeoutExpired raised."""
     pythonpath = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-    return subprocess.run(command, capture_output=True, text=True, env=env)
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=timeout)

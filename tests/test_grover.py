@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groversim.transforms
 from groversim import (
     GroverConfig,
     Oracle,
@@ -414,6 +415,19 @@ def test_real_buffers_give_the_complex_engines_bytes():
             assert series[t] == (t, success_probability(state, oracle)), (n, marked, t)
             if snapshots:
                 assert final.tobytes() == snapshots[4 * t][1].tobytes(), (n, marked, t)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_runs_and_scans_do_not_depend_on_the_worker_count(n, monkeypatch):
+    # Three iterations: two on float64 buffers, then the widening to complex.
+    oracle = Oracle(n, marked={3, 1 << (n - 1), (1 << n) - 5})
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(groversim.transforms, "_WORKERS", workers)
+        run = run_grover(GroverConfig(n, oracle, iterations=3, seed=n))
+        series = scan_probabilities(GroverConfig(n, oracle), 3)
+        results.append((run.final_state.amps.tobytes(), run.outcome, series))
+    assert results[0] == results[1]
 
 
 def test_untraced_run_and_scan_keep_few_states_alive():

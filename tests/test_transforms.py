@@ -1,4 +1,10 @@
+import gc
 import math
+import os
+import sys
+import threading
+import time
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -22,7 +28,7 @@ from groversim import (
     wh_matrix_entry,
     wh_sign,
 )
-from helpers import MemoryProbe, random_unit_vector
+from helpers import MemoryProbe, random_unit_vector, run_command
 
 # Sign table for n=2, recomputed by hand from the popcount parity of q AND r.
 SIGN_TABLE = [
@@ -229,20 +235,224 @@ def test_blocked_passes_match_the_reshape_butterfly_bit_for_bit(state, data):
             check_against_the_reshape_butterfly(state, data)
 
 
-def test_fast_transform_past_one_block_matches_the_reshape_butterfly():
-    n = 17
-    rng = np.random.default_rng(17)
+@settings(deadline=None, max_examples=100)
+@given(signed_zero_states(min_n=3), st.data())
+def test_shared_parts_match_the_reshape_butterfly_bit_for_bit(state, data):
+    # From n=3, blocks of 4 or 8 amplitudes and strips 2 wide: every draw
+    # crosses blocks and strips, and at two workers the thread runs half of
+    # each phase's parts.
+    real = AmplitudeVector(state.n, state.amps.real.copy())
+    for bits, workers in ((2, 1), (2, 2), (3, 2)):
+        with mock.patch.multiple(groversim.transforms, _BLOCK_BITS=bits, _STRIP_BITS=1,
+                                 _POOL_BITS=3, _WORKERS=workers):
+            check_against_the_reshape_butterfly(state, data)
+            assert walsh_hadamard_fast(real).amps.tobytes() == reshape_butterfly(real.amps).tobytes()
+
+
+def signed_zero_parts(n, seed):
+    """2 << n normal floats drawn from seed, a quarter set to +0.0 and a
+    quarter to -0.0: the complex128 parts of an n-qubit state."""
+    rng = np.random.default_rng(seed)
     parts = rng.normal(size=2 << n)
     parts[rng.integers(0, parts.size, size=parts.size // 4)] = 0.0
     parts[rng.integers(0, parts.size, size=parts.size // 4)] = -0.0
-    state = AmplitudeVector(n, parts.view(np.complex128))
-    assert n > groversim.transforms._BLOCK_BITS
+    return parts
+
+
+def test_fast_transform_past_one_block_matches_the_reshape_butterfly():
+    # At the real block, strip and pool sizes: n=17 has two blocks and four
+    # strips, n=20 sixteen blocks and four-pass strips.
+    assert 17 > groversim.transforms._BLOCK_BITS
+    for n in (17, 20):
+        parts = signed_zero_parts(n, n)
+        for amps in (parts.view(np.complex128), parts[:1 << n]):
+            state = AmplitudeVector(n, amps)
+            want = reshape_butterfly(state.amps).tobytes()
+            for workers in (1, 2):
+                with mock.patch.object(groversim.transforms, "_WORKERS", workers):
+                    assert walsh_hadamard_fast(state).amps.tobytes() == want
+                    pair = state.copy(), AmplitudeVector(n, np.empty_like(state.amps))
+                    got = walsh_hadamard_fast(pair[0], spare=pair[1])
+                assert got is pair[n % 2]
+                assert got.amps.tobytes() == want
+
+
+def pooled_state():
+    """A float64 state at the size from which the worker thread runs."""
+    n = groversim.transforms._POOL_BITS
+    return AmplitudeVector(n, signed_zero_parts(n, n)[:1 << n])
+
+
+def threads_running_passes(monkeypatch, fail_on=None):
+    """Records the name of each thread that runs a pass of the butterfly;
+    the passes on fail_on raise RuntimeError, and the others on the worker
+    first sleep 50 ms, so that a caller that did not wait for the worker
+    would return before it."""
+    names, real_ping_pong = [], groversim.transforms._ping_pong
+
+    def ping_pong(a, b, passes):
+        name = threading.current_thread().name
+        if name == fail_on:
+            raise RuntimeError(f"a part failed on {name}")
+        if name != "MainThread":
+            time.sleep(0.05)
+        real_ping_pong(a, b, passes)
+        names.append(name)
+
+    monkeypatch.setattr(groversim.transforms, "_ping_pong", ping_pong)
+    return names
+
+
+def test_the_worker_runs_half_of_the_parts_from_the_pool_size(monkeypatch):
+    monkeypatch.setattr(groversim.transforms, "_WORKERS", 2)
+    names = threads_running_passes(monkeypatch)
+    walsh_hadamard_fast(pooled_state())
+    # Two blocks, then two strips.
+    assert sorted(names) == ["MainThread"] * 2 + ["groversim-butterfly"] * 2
+    names.clear()
+    walsh_hadamard_fast(random_unit_vector(np.random.default_rng(5), 15))
+    assert set(names) == {"MainThread"}
+
+
+def test_the_worker_keeps_no_buffer_alive(monkeypatch):
+    # A job kept past its part would hold views of both buffers, so the
+    # engine's float64 pair would outlive the widening to complex128.
+    monkeypatch.setattr(groversim.transforms, "_WORKERS", 2)
+    state = pooled_state()
+    spare = AmplitudeVector(state.n, np.empty_like(state.amps))
+    buffers = [weakref.ref(state.amps), weakref.ref(spare.amps)]
+    walsh_hadamard_fast(state, spare=spare)
+    del state, spare
+    assert [buffer() for buffer in buffers] == [None, None]
+
+
+def test_a_part_that_fails_here_waits_for_the_worker(monkeypatch):
+    monkeypatch.setattr(groversim.transforms, "_WORKERS", 2)
+    state = pooled_state()
     want = reshape_butterfly(state.amps).tobytes()
+    real_ping_pong = groversim.transforms._ping_pong
+    names = threads_running_passes(monkeypatch, fail_on="MainThread")
+    with pytest.raises(RuntimeError, match="a part failed on MainThread"):
+        walsh_hadamard_fast(state)
+    # The worker's block was done before the caller's exception came out.
+    assert names == ["groversim-butterfly"]
+    monkeypatch.setattr(groversim.transforms, "_ping_pong", real_ping_pong)
     assert walsh_hadamard_fast(state).amps.tobytes() == want
-    spare = AmplitudeVector(n, np.empty_like(state.amps))
-    got = walsh_hadamard_fast(state, spare=spare)
-    assert got is spare
-    assert got.amps.tobytes() == want
+
+
+def test_a_part_that_fails_on_the_worker_raises_in_the_caller(monkeypatch):
+    monkeypatch.setattr(groversim.transforms, "_WORKERS", 2)
+    state = pooled_state()
+    want = reshape_butterfly(state.amps).tobytes()
+    real_ping_pong = groversim.transforms._ping_pong
+    names = threads_running_passes(monkeypatch, fail_on="groversim-butterfly")
+    pair = state.copy(), AmplitudeVector(state.n, np.empty_like(state.amps))
+    buffers = [weakref.ref(vector.amps) for vector in pair]
+    # The exception's traceback holds views of both buffers: they go with
+    # it, and no reference cycle keeps them for the collector.
+    gc.disable()
+    try:
+        with pytest.raises(RuntimeError, match="a part failed on groversim-butterfly"):
+            walsh_hadamard_fast(pair[0], spare=pair[1])
+        del pair
+        alive = [buffer() is not None for buffer in buffers]
+    finally:
+        gc.enable()
+    assert alive == [False, False]
+    assert names == ["MainThread"]
+    monkeypatch.setattr(groversim.transforms, "_ping_pong", real_ping_pong)
+    assert walsh_hadamard_fast(state).amps.tobytes() == want
+
+
+def test_a_transform_that_finds_the_worker_busy_runs_all_its_parts(monkeypatch):
+    monkeypatch.setattr(groversim.transforms, "_WORKERS", 2)
+    state = pooled_state()
+    walsh_hadamard_fast(state)
+    worker = groversim.transforms._worker
+    names = threads_running_passes(monkeypatch)
+    assert worker.busy.acquire(blocking=False)
+    try:
+        got = walsh_hadamard_fast(state)
+    finally:
+        worker.busy.release()
+    assert names == ["MainThread"] * 4
+    assert got.amps.tobytes() == reshape_butterfly(state.amps).tobytes()
+
+
+def test_threads_transforming_at_once_all_get_the_right_bytes():
+    rng = np.random.default_rng(26)
+    states = [random_unit_vector(rng, 8) for _ in range(3)]
+    wants = [reshape_butterfly(state.amps).tobytes() for state in states]
+    results = [[] for _ in states]
+    start = threading.Barrier(len(states))
+
+    def transform(i):
+        start.wait()
+        for _ in range(200):
+            results[i].append(walsh_hadamard_fast(states[i]).amps.tobytes())
+
+    # Blocks of 8 amplitudes and strips 2 wide: each transform hands the
+    # worker two jobs, and with more threads than CPUs and a short switch
+    # interval the threads often find it taken.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.multiple(groversim.transforms, _BLOCK_BITS=3, _STRIP_BITS=1,
+                                 _POOL_BITS=4, _WORKERS=2):
+            threads = [threading.Thread(target=transform, args=(i,)) for i in range(len(states))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[want] * 200 for want in wants]
+
+
+FORKED_TRANSFORM = """
+import os, sys
+import numpy as np
+from groversim import AmplitudeVector, transforms, walsh_hadamard_fast
+transforms._WORKERS = 2
+state = AmplitudeVector(16, np.random.default_rng(16).normal(size=1 << 16))
+want = walsh_hadamard_fast(state).amps.tobytes()
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if walsh_hadamard_fast(state).amps.tobytes() == want else 1)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_does_not_wait_for_the_parents_worker():
+    # The child has no copy of the worker's thread: handing it a part would
+    # wait forever.
+    done = run_command(sys.executable, "-c", FORKED_TRANSFORM, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+POOLED_TRANSFORMS = """
+import sys, threading
+import numpy as np
+from groversim import AmplitudeVector, transforms, walsh_hadamard_fast
+state = AmplitudeVector(17, np.ones(1 << 17))
+modules, threads = set(sys.modules), threading.active_count()
+transforms._WORKERS = 1
+walsh_hadamard_fast(state)
+print(threading.active_count() - threads)
+transforms._WORKERS = 2
+walsh_hadamard_fast(state)
+print(sorted(set(sys.modules) - modules), threading.active_count() - threads)
+"""
+
+
+def test_the_worker_imports_nothing_and_one_worker_starts_no_thread():
+    # A module imported on first use would be timed in the first transform
+    # (concurrent.futures takes about 5 ms); threading comes with numpy.
+    done = run_command(sys.executable, "-c", POOLED_TRANSFORMS)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["0", "[] 1", ""]
 
 
 @settings(deadline=None, max_examples=100)
