@@ -1,7 +1,7 @@
 """Fixtures that several test files share: a traced run read back, the
-four-state trace worked by hand, a seeded random circuit and unit vector,
-the closed-form success curve, the benchmark's modules, a memory probe
-around a block and a command run in a new process."""
+four-state trace and two-qubit sign table worked by hand, a seeded random
+circuit and unit vector, the closed-form success curve, the benchmark's
+modules, a memory probe around a block and a command run in a new process."""
 import importlib.util
 import io
 import math
@@ -24,6 +24,14 @@ FOUR_STATE_TRACE = np.array([
     [-0.5, -0.5, 0.5, 0.5],
     [0.0, 0.0, -1.0, 0.0],
 ])
+
+# Sign table for n=2, recomputed by hand from the popcount parity of q AND r.
+SIGN_TABLE = [
+    [1, 1, 1, 1],
+    [1, -1, 1, -1],
+    [1, 1, -1, -1],
+    [1, -1, -1, 1],
+]
 
 
 def traced(config):

@@ -35,14 +35,7 @@ from groversim import (
     wh_matrix_entry,
 )
 from groversim.reversible import Gate, ReversibleCircuit
-from helpers import FOUR_STATE_TRACE, random_unit_vector, traced
-
-SIGN_TABLE = np.array([
-    [1, 1, 1, 1],
-    [1, -1, 1, -1],
-    [1, 1, -1, -1],
-    [1, -1, -1, 1],
-])
+from helpers import FOUR_STATE_TRACE, SIGN_TABLE, random_unit_vector, traced
 
 
 @contextmanager

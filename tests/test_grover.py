@@ -1,6 +1,8 @@
 import io
 import math
 import re
+import sys
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from groversim import (
     basis_state,
     classical_baseline,
     grover_iteration,
+    grover_steps,
     invert_phase_marked,
     invert_phase_zero,
     optimal_iterations,
+    path_amplitude,
     resolve_iterations,
     roman_numeral,
     run_grover,
@@ -25,6 +29,7 @@ from groversim import (
     success_probability,
     uniform_state,
     walsh_hadamard_fast,
+    walsh_hadamard_naive,
 )
 from helpers import FOUR_STATE_TRACE, MemoryProbe, closed_form, search_angle, traced
 
@@ -145,16 +150,100 @@ def test_run_grover_trace_labels_and_values():
     assert not trace.degenerate
 
 
+def _public_steps(config, transform):
+    """The amplitudes after each of the 4t + 1 steps of config's search, by
+    the public step functions on copies, with transform as the transform."""
+    steps = [lambda v: invert_phase_marked(v, config.oracle), transform, invert_phase_zero, transform]
+    start = transform(basis_state(config.n, 0))
+    return [v.amps for v in accumulate(steps * config.iterations, lambda v, step: step(v), initial=start)]
+
+
+def _traced_run(config):
+    """A traced run's snapshots at each iteration's end. Every snapshot must be
+    the public steps' state, and the run must measure what an untraced one does."""
+    result, doc = traced(config)
+    assert result.outcome == run_grover(config).outcome
+    snapshots = [amps for _, amps in doc.steps]
+    assert [a.tobytes() for a in snapshots] == [a.tobytes() for a in _public_steps(config, walsh_hadamard_fast)]
+    return snapshots[::4]
+
+
+# name: (domain, bound, route). A route maps a config of t iterations to the
+# amplitudes after each of 0..t, and runs where its domain, a condition on n
+# and t, holds. Bound 0 asks for equal bytes; a positive bound caps the
+# |difference| of an amplitude: the worst over _exactness_cases() was 6.7e-16
+# for the path sum and 1.9e-14 for the naive transform.
+ROUTES = {
+    "grover_iteration": (lambda n, t: n <= 12, 0, lambda c: [v.amps for v in accumulate(
+        [c.oracle] * c.iterations, grover_iteration, initial=walsh_hadamard_fast(basis_state(c.n, 0)))]),
+    "traced run": (lambda n, t: n <= 8, 0, _traced_run),
+    "predicate oracle": (lambda n, t: t <= 2, 0, lambda c: [run_grover(GroverConfig(
+        c.n, Oracle(c.n, predicate=c.oracle.marked_indices().__contains__), t)).final_state.amps
+        for t in range(c.iterations + 1)]),
+    # Not n = 3 at t = 2: 13 ms a case, 3.2 s over the 255 marked sets there.
+    "path sum": (lambda n, t: n <= 2 and t <= 2 or n <= 4 and t <= 1, 1e-14, lambda c: [np.array(
+        [path_amplitude(c.n, grover_steps(c.oracle, t), 0, end) for end in range(1 << c.n)])
+        for t in range(c.iterations + 1)]),
+    "naive transform": (lambda n, t: n <= 8, 1e-13, lambda c: _public_steps(c, walsh_hadamard_naive)[::4]),
+}
+
+
+def assert_routes_agree(n, marked, counts, seed=0):
+    """Runs the search of n qubits for marked untraced at seed for each t in
+    counts, and compares it with every route whose domain holds (n, t), and
+    with the scan to the largest t, itself compared with the closed form."""
+    oracle, horizon = Oracle(n, marked=marked), max(max(counts), 1)
+    series = scan_probabilities(GroverConfig(n, oracle), horizon)
+    assert [t for t, _ in series] == list(range(horizon + 1))
+    for t, p in series:
+        # Roundoff accumulates over iterations (worst measured 5.65e-15 * (t + 1),
+        # at n=16), so the bound grows with t; a flat 1e-12 fails at n=16.
+        assert abs(p - closed_form(1 << n, len(marked), t)) <= 2e-14 * (t + 1), (n, marked, t)
+    finals = {t: run_grover(GroverConfig(n, oracle, iterations=t, seed=seed)).final_state for t in counts}
+    for t, final in finals.items():
+        assert final.amps.dtype == np.complex128, (n, marked, t)
+        assert series[t] == (t, success_probability(final, oracle)), (n, marked, t)
+    for name, (domain, bound, route) in ROUTES.items():
+        ts = [t for t in counts if domain(n, t)]
+        states = route(GroverConfig(n, oracle, iterations=max(ts), seed=seed)) if ts else []
+        for t in ts:
+            got, want = states[t], finals[t].amps
+            same = np.abs(got - want).max() <= bound if bound else got.tobytes() == want.tobytes()
+            assert same, (name, n, marked, t)
+
+
 def test_traced_snapshots_match_the_public_step_functions():
-    oracle = Oracle(4, marked={5, 9})
-    _, doc = traced(GroverConfig(4, oracle, iterations=2))
-    steps = [lambda v: invert_phase_marked(v, oracle), walsh_hadamard_fast,
-             invert_phase_zero, walsh_hadamard_fast]
-    state = walsh_hadamard_fast(basis_state(4, 0))
-    for i, (_, amps) in enumerate(doc.steps):
-        if i > 0:
-            state = steps[(i - 1) % 4](state)
-        assert amps.tobytes() == state.amps.tobytes()
+    assert_routes_agree(4, {5, 9}, [2])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_every_route_agrees_on_drawn_searches(data):
+    # At n <= 8 the traced run is in its domain, so it also measures what
+    # the untraced run measures at the drawn seed.
+    n = data.draw(st.integers(1, 8))
+    marked = data.draw(st.frozensets(st.integers(0, (1 << n) - 1), min_size=1))
+    t = data.draw(st.integers(0, 4))
+    assert_routes_agree(n, marked, [t], seed=data.draw(st.integers(0, 2**32 - 1)))
+
+
+def test_every_route_is_reached(monkeypatch):
+    # A domain that never holds would drop its route without a failure; a
+    # case inside every domain must call each route's function.
+    module = sys.modules[__name__]
+    names = ("run_grover", "scan_probabilities", "grover_iteration", "traced",
+             "path_amplitude", "walsh_hadamard_naive", "closed_form")
+    called = set()
+    for name in names:
+        original = getattr(module, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            called.add(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    assert_routes_agree(3, {5}, range(3))
+    assert called == set(names)
 
 
 def test_every_step_goes_through_the_public_step_functions(monkeypatch):
@@ -218,9 +307,7 @@ def test_run_grover_is_deterministic_per_seed():
 
 
 def test_run_grover_predicate_and_set_oracles_agree():
-    by_set = run_grover(GroverConfig(3, Oracle(3, marked={5}), iterations=2))
-    by_pred = run_grover(GroverConfig(3, Oracle(3, predicate=lambda r: r == 5), iterations=2))
-    assert np.array_equal(by_set.final_state.amps, by_pred.final_state.amps)
+    assert_routes_agree(3, {5}, [2])
 
 
 def test_run_grover_auto_picks_optimum():
@@ -329,14 +416,8 @@ CLOSED_FORM_CURVES = [(n, k, None) for n in range(2, 15) for k in (1, 2, 3)] + [
 
 
 def test_dense_scan_follows_the_closed_form_curve():
-    # Roundoff accumulates over iterations (worst measured 5.65e-15 * (t + 1),
-    # at n=16), so the bound grows with t; a flat 1e-12 fails at n=16.
     for n, k, horizon in CLOSED_FORM_CURVES:
-        size = 1 << n
-        t_max = horizon or max(1, optimal_iterations(size, k))
-        config = GroverConfig(n, Oracle(n, marked=set(range(1, k + 1))))
-        for t, p in scan_probabilities(config, t_max):
-            assert abs(p - closed_form(size, k, t)) <= 2e-14 * (t + 1), (n, k, t)
+        assert_routes_agree(n, set(range(1, k + 1)), [horizon or max(1, optimal_iterations(1 << n, k))])
 
 
 def test_scan_probabilities_four_state_series():
@@ -349,30 +430,11 @@ def test_scan_probabilities_four_state_series():
 
 
 def test_scan_probabilities_matches_individual_runs():
-    oracle = Oracle(3, marked={6})
-    series = scan_probabilities(GroverConfig(3, oracle), 4)
-    state = walsh_hadamard_fast(basis_state(3, 0))
-    fresh = Oracle(3, marked={6})
-    for t, p in series:
-        if t > 0:
-            state = grover_iteration(state, fresh)
-        assert p == success_probability(state, fresh)
+    assert_routes_agree(3, {6}, range(5))
 
 
 def test_scan_runs_and_traces_share_one_step_loop():
-    n, marked = 5, {3, 17}
-    oracle = Oracle(n, marked=marked)
-    series = scan_probabilities(GroverConfig(n, oracle), 8)
-    assert [t for t, _ in series] == list(range(9))
-    for t, p in series:
-        run = run_grover(GroverConfig(n, Oracle(n, marked=marked), iterations=t))
-        assert p == success_probability(run.final_state, oracle)
-    _, doc = traced(GroverConfig(n, oracle, iterations=8))
-    state = walsh_hadamard_fast(basis_state(n, 0))
-    for t, (_, amps) in enumerate(doc.steps[::4]):
-        if t > 0:
-            state = grover_iteration(state, oracle)
-        assert amps.tobytes() == state.amps.tobytes()
+    assert_routes_agree(5, {3, 17}, range(9))
 
 
 def _exactness_cases():
@@ -398,23 +460,8 @@ def test_real_buffers_give_the_complex_engines_bytes():
     iteration); their results are the complex engine's bytes, down to the
     signs of the zero imaginary parts, which a run that widened only after
     its last iteration would lose."""
-    for n, marked, counts in _exactness_cases():
-        oracle = Oracle(n, marked=marked)
-        series = scan_probabilities(GroverConfig(n, oracle), max(max(counts), 1))
-        # A traced run's first 4t + 1 snapshots are those of a traced run of
-        # t iterations, so one run of the most gives every last snapshot.
-        snapshots = traced(GroverConfig(n, oracle, iterations=max(counts)))[1].steps if n <= 8 else []
-        state, done = walsh_hadamard_fast(basis_state(n, 0)), 0
-        for t in counts:
-            for _ in range(t - done):
-                state = grover_iteration(state, oracle)
-            done = t
-            final = run_grover(GroverConfig(n, oracle, iterations=t)).final_state.amps
-            assert final.dtype == np.complex128
-            assert final.tobytes() == state.amps.tobytes(), (n, marked, t)
-            assert series[t] == (t, success_probability(state, oracle)), (n, marked, t)
-            if snapshots:
-                assert final.tobytes() == snapshots[4 * t][1].tobytes(), (n, marked, t)
+    for case in _exactness_cases():
+        assert_routes_agree(*case)
 
 
 @pytest.mark.parametrize("n", [16, 17])

@@ -28,15 +28,7 @@ from groversim import (
     wh_matrix_entry,
     wh_sign,
 )
-from helpers import MemoryProbe, random_unit_vector, run_command
-
-# Sign table for n=2, recomputed by hand from the popcount parity of q AND r.
-SIGN_TABLE = [
-    [1, 1, 1, 1],
-    [1, -1, 1, -1],
-    [1, 1, -1, -1],
-    [1, -1, -1, 1],
-]
+from helpers import SIGN_TABLE, MemoryProbe, random_unit_vector, run_command
 
 
 def test_wh_sign_worked_example():
@@ -89,20 +81,16 @@ def test_naive_transform_of_basis_zero_is_uniform():
 
 def test_naive_transform_matches_explicit_matrix():
     rng = np.random.default_rng(21)
-    for n in (1, 2, 3, 4):
-        size = 1 << n
-        matrix = np.array(
-            [[wh_matrix_entry(n, q, r) for r in range(size)] for q in range(size)]
-        )
-        v = random_unit_vector(rng, n)
-        got = walsh_hadamard_naive(v)
-        assert np.allclose(got.amps, matrix @ v.amps, rtol=0.0, atol=1e-14)
-    # On a basis state the product picks one column, entry for entry.
     for n in range(1, 6):
         size = 1 << n
         matrix = np.array(
             [[wh_matrix_entry(n, q, r) for r in range(size)] for q in range(size)]
         )
+        if n <= 4:
+            v = random_unit_vector(rng, n)
+            got = walsh_hadamard_naive(v)
+            assert np.allclose(got.amps, matrix @ v.amps, rtol=0.0, atol=1e-14)
+        # On a basis state the product picks one column, entry for entry.
         for r in range(size):
             assert (walsh_hadamard_naive(basis_state(n, r)).amps == matrix[:, r]).all()
 
