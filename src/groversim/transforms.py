@@ -15,14 +15,9 @@ whole run and hands it in, and other callers get the transform of a copy.
 
 From n=16, when the process may run on two CPUs or more, one daemon thread,
 made on first use, runs half of the blocks and then half of the strips
-while the caller runs the rest; on one CPU no thread is started. Every part
-does the same operations in the same order, so the bytes are the same at
-any worker count. Per transform in the engine's two buffers, interleaved
-with the single-block code in one process (2 vCPUs, 300 MiB L3, numpy
-2.4), float64: n=15 0.42 ms either way, n=16 0.87 -> 0.70, n=18
-4.1 -> 2.5, n=20 19.8 -> 12.7, n=22 103 -> 53 ms; complex128: n=16
-1.5 -> 1.0, n=18 7.5 -> 4.0, n=20 33 -> 23 ms. On one CPU the strips
-alone were at most 2% slower than the single-block code at n=17..20 there.
+while the caller runs the rest; on one CPU, or when the system refuses a
+thread, the caller runs them all. Every window takes the same operations
+in the same order, so the bytes are the same at any worker count.
 
 Both phase inversions negate at basis indices (the oracle's cached marked
 indices, or index 0) through one kernel in state.py, with no 2**n mask;
@@ -114,7 +109,7 @@ _STRIP_BITS = 14
 # around the small ufuncs cost more than the work they share.
 _POOL_BITS = 16
 
-# Threads that run a transform's parts, the caller among them: the CPUs this
+# Threads that run a transform's windows, the caller among them: the CPUs this
 # process may run on, at most two. With one, no thread is started.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
@@ -134,26 +129,18 @@ def _ping_pong(a: np.ndarray, b: np.ndarray, passes: int) -> None:
         a, b = b, a
 
 
-def _blocks(a: np.ndarray, b: np.ndarray, passes: int, first: int, stop: int) -> None:
-    """Run the low-bit passes on the blocks first..stop-1 of 2**passes
-    amplitudes of a and b."""
-    block = 1 << passes
-    for start in range(first * block, stop * block, block):
-        _ping_pong(a[start:start + block], b[start:start + block], passes)
-
-
-def _strips(x: np.ndarray, y: np.ndarray, passes: int, first: int, stop: int) -> None:
-    """Run the passes over the row bits of the 2-d views x and y on their
-    column strips first..stop-1, each strip through all of them in turn."""
-    width = min(x.shape[1], 1 << _STRIP_BITS)
+def _parts(x: np.ndarray, y: np.ndarray, passes: int, width: int, first: int, stop: int) -> None:
+    """Run the passes over the row bits of x and y on their column windows
+    first..stop-1, width wide, each window through all of them in turn: a
+    window of the 1-d buffers is a block, of their 2-d views a strip."""
     for start in range(first * width, stop * width, width):
-        _ping_pong(x[:, start:start + width], y[:, start:start + width], passes)
+        _ping_pong(x[..., start:start + width], y[..., start:start + width], passes)
 
 
 class _Worker:
-    """A daemon thread that runs the second half of a transform's parts while
-    the caller runs the first. A caller takes it by acquiring busy without
-    blocking, and share releases busy when both halves are done."""
+    """A daemon thread that runs the second half of a transform's windows
+    while the caller runs the first. A caller takes it by acquiring busy
+    without blocking, and share releases busy when both halves are done."""
 
     def __init__(self) -> None:
         self.busy = threading.Lock()
@@ -168,24 +155,24 @@ class _Worker:
         while True:
             self._go.acquire()
             try:
-                self._job[0](*self._job[1:])
+                _parts(*self._job)
             except BaseException as error:  # share raises it in the caller
                 self._error = error
-            # Holding no view past its part lets the buffers go with their owner.
+            # Holding no view past its windows lets the buffers go with their owner.
             self._job = None
             self._done.release()
 
-    def share(self, part, x: np.ndarray, y: np.ndarray, passes: int, count: int) -> None:
-        """Run part(x, y, passes, first, stop) over the parts 0..count-1, the
-        first half here. Waits for the thread's half before it returns or
-        raises, and raises the thread's exception if this half raised none.
-        A wait cut short by a signal leaves busy taken, so that later
-        transforms run all of their parts themselves."""
+    def share(self, x: np.ndarray, y: np.ndarray, passes: int, width: int, count: int) -> None:
+        """Run the passes on the windows 0..count-1, width wide, of x and y,
+        the first half here. Waits for the thread's half before it returns
+        or raises, and raises the thread's exception if this half raised
+        none. A wait cut short by a signal leaves busy taken, so that later
+        transforms run all of their windows themselves."""
         half = count // 2
-        self._job = (part, x, y, passes, half, count)
+        self._job = (x, y, passes, width, half, count)
         self._go.release()
         try:
-            part(x, y, passes, 0, half)
+            _parts(x, y, passes, width, 0, half)
         finally:
             self._done.acquire()
             error, self._error = self._error, None
@@ -212,19 +199,25 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _run(part, x: np.ndarray, y: np.ndarray, passes: int, count: int, pooled: bool) -> None:
-    """Run part(x, y, passes, first, stop) over the parts 0..count-1: half of
-    them on the worker thread if pooled and it is free, else all here."""
+def _run(x: np.ndarray, y: np.ndarray, passes: int, width: int, count: int, pooled: bool) -> None:
+    """Run the passes on the windows 0..count-1, width wide, of x and y: half
+    of them on the worker thread if pooled and it is free, else all here,
+    as also when the system refuses to start the thread."""
     global _worker
+    worker = None
     if pooled:
         with _worker_lock:
             if _worker is None:
-                _worker = _Worker()
-            worker = _worker if _worker.busy.acquire(blocking=False) else None
-        if worker is not None:
-            worker.share(part, x, y, passes, count)
-            return
-    part(x, y, passes, 0, count)
+                try:
+                    _worker = _Worker()
+                except RuntimeError:  # can't start new thread
+                    pass
+            if _worker is not None and _worker.busy.acquire(blocking=False):
+                worker = _worker
+    if worker is None:
+        _parts(x, y, passes, width, 0, count)
+    else:
+        worker.share(x, y, passes, width, count)
 
 
 def walsh_hadamard_fast(
@@ -244,11 +237,12 @@ def walsh_hadamard_fast(
     cache-sized block of 2**m amplitudes at a time, with m = min(n, 16), or
     min(n - 1, 16) when the worker thread runs, so that n=16 has two blocks.
     Bits m..n-1 then take them over the rows of the vector viewed as
-    (2**(n-m), 2**m), one column strip of 2**14 at a time. From n=16, with
-    two CPUs, the worker thread runs half of the blocks and then half of
-    the strips. Each part adds the same operands in the same bit order at
-    any blocking, strip width or worker count, so the bytes do not depend
-    on them; the views need no temporaries.
+    (2**(n-m), 2**m), one column strip of 2**14 at a time. Each block or
+    strip is a window, the columns [s, s + w) of the buffer or of the view.
+    From n=16, with two CPUs, the worker thread runs half of the blocks and
+    then half of the strips. Each window adds the same operands in the same
+    bit order at any blocking, strip width or worker count, so the bytes do
+    not depend on them; the views need no temporaries.
 
     Without spare, the input is left untouched and the result is new. With
     spare, a separate vector of the same size and dtype whose amplitudes
@@ -265,11 +259,11 @@ def walsh_hadamard_fast(
     a, b, n = state.amps, spare.amps, state.n
     pooled = n >= _POOL_BITS and _WORKERS > 1
     m = min(n - pooled, _BLOCK_BITS)
-    _run(_blocks, a, b, m, 1 << (n - m), pooled)
+    _run(a, b, m, 1 << m, 1 << (n - m), pooled)
     if n > m:
         x, y = (b, a) if m & 1 else (a, b)
-        x, y = x.reshape(-1, 1 << m), y.reshape(-1, 1 << m)
-        _run(_strips, x, y, n - m, 1 << max(0, m - _STRIP_BITS), pooled)
+        strip = min(m, _STRIP_BITS)
+        _run(x.reshape(-1, 1 << m), y.reshape(-1, 1 << m), n - m, 1 << strip, 1 << (m - strip), pooled)
     return spare if n & 1 else state
 
 

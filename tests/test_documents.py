@@ -105,11 +105,10 @@ def format_every_value(amps):
     return ",".join([f"[{re},{im}]" for re, im in zip(parts[::2], parts[1::2])])
 
 
-def render_differences(doc):
-    """None when the table renderer writes what the per-value renderer
-    writes, else the first differing offset with both contexts; a plain ==
-    would have pytest diff megabytes of text."""
-    got = render_trace_document(doc)
+def render_differences(doc, got):
+    """None when the per-value renderer writes got for doc, else the first
+    differing offset with both contexts; a plain == would have pytest diff
+    megabytes of text."""
     with mock.patch("groversim.documents._TraceWriter.pairs",
                     lambda writer, amps: format_every_value(amps)):
         want = render_trace_document(doc)
@@ -137,38 +136,42 @@ def repetitive_snapshots(draw):
         return n, amps / np.linalg.norm(amps)
 
 
-@settings(deadline=None, max_examples=300)
-@given(repetitive_snapshots())
-def test_table_renderer_matches_the_per_value_renderer(snapshot):
-    n, amps = snapshot
-    try:
-        doc = TraceDocument(n, 0, [("i", amps), ("ii", -amps)], 0, 0)
-    except ValueError:
-        return  # an all-zero or subnormal pool has no unit-norm scaling
-    assert render_differences(doc) is None
+def check_traced_run(n, marked):
+    """A traced run at seed n takes the direct reader's route back, and the
+    writer and the per-value renderer each write its text for what is read."""
+    run = io.StringIO()
+    run_grover(GroverConfig(n, Oracle(n, marked=marked), seed=n), run)
+    text = run.getvalue()
+    with mock.patch("groversim.documents._parse_trace_json",
+                    wraps=_parse_trace_json) as json_route:
+        doc = parse_trace_document(text)
+    assert json_route.call_count == 0
+    assert render_trace_document(doc) == text
+    assert render_differences(doc, text) is None
 
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_traced_runs_render_as_the_per_value_renderer_does(n):
-    marked = {(5 * n) % (1 << n)} if n < 4 else {3, (1 << n) - 2}
-    _, doc = traced(GroverConfig(n, Oracle(n, marked=marked), seed=n))
-    assert render_differences(doc) is None
+    check_traced_run(n, {(5 * n) % (1 << n)} if n < 4 else {3, (1 << n) - 2})
 
 
 @st.composite
 def snapshot_sequences(draw):
     """A repetitive unit vector, then snapshots that each change it exactly,
-    keeping its norm: a few entries negated (as the oracle flips them), two
-    entries swapped, the sign of zero parts flipped, or nothing at all."""
+    keeping its norm: a few entries negated (as the oracle flips them), all
+    of them (so every entry changes, as across a transform), two entries
+    swapped, the sign of zero parts flipped, or nothing at all."""
     n, amps = draw(repetitive_snapshots())
     steps = [amps]
     for _ in range(draw(st.integers(1, 6))):
         amps = amps.copy()
         parts = amps.view(np.float64)
-        change = draw(st.sampled_from(["negate", "swap", "zero signs", "repeat"]))
+        change = draw(st.sampled_from(["negate", "negate all", "swap", "zero signs", "repeat"]))
         if change == "negate":
             picked = draw(st.lists(st.integers(0, amps.size - 1), min_size=1, max_size=3))
             amps[picked] = -amps[picked]
+        elif change == "negate all":
+            np.negative(amps, out=amps)
         elif change == "swap":
             i, j = draw(st.integers(0, amps.size - 1)), draw(st.integers(0, amps.size - 1))
             amps[[i, j]] = amps[[j, i]]
@@ -185,26 +188,17 @@ def snapshot_sequences(draw):
 @given(snapshot_sequences())
 def test_each_snapshot_of_a_sequence_renders_as_the_per_value_renderer_does(sequence):
     # The writer reformats only the entries whose bits changed since the
-    # snapshot before, so +0.0 and -0.0 must count as a change.
-    n, snapshots = sequence
-    try:
-        doc = TraceDocument(n, 0, [(f"s{i}", amps) for i, amps in enumerate(snapshots)], 0, 0)
-    except ValueError:
-        return  # an all-zero or subnormal pool has no unit-norm scaling
-    assert render_differences(doc) is None
-
-
-@settings(deadline=None, max_examples=300)
-@given(snapshot_sequences())
-def test_the_direct_reader_reads_each_snapshot_of_a_sequence_as_json_does(sequence):
-    # Each step line is read as a change from the one before, reusing the
-    # amplitudes of the pair texts the two lines share at both ends.
+    # snapshot before, so +0.0 and -0.0 must count as a change. The direct
+    # reader reads each step line as a change from the one before, reusing
+    # the amplitudes of the pair texts the two lines share at both ends, and
+    # must read what json does.
     n, snapshots = sequence
     try:
         doc = TraceDocument(n, 0, [(f"s{i}", amps) for i, amps in enumerate(snapshots)], 0, 0)
     except ValueError:
         return  # an all-zero or subnormal pool has no unit-norm scaling
     text = render_trace_document(doc)
+    assert render_differences(doc, text) is None
     direct = _read_written_trace(text)
     assert direct is not None
     assert_same_document(direct, _parse_trace_json(text))
@@ -217,16 +211,7 @@ def test_the_direct_reader_reads_each_snapshot_of_a_sequence_as_json_does(sequen
     (11, {3, 700, 1500}),
 ], ids=[*map(str, range(1, 12)), "11-far-apart"])
 def test_the_direct_reader_takes_every_trace_the_writers_write(n, marked):
-    run = io.StringIO()
-    run_grover(GroverConfig(n, Oracle(n, marked=marked), seed=n), run)
-    with mock.patch("groversim.documents._parse_trace_json",
-                    wraps=_parse_trace_json) as json_route:
-        doc = parse_trace_document(run.getvalue())
-        written = io.StringIO()
-        write_trace_document(doc, written)
-        assert written.getvalue() == run.getvalue()
-        parse_trace_document(written.getvalue())
-    assert json_route.call_count == 0
+    check_traced_run(n, marked)
 
 
 def test_trace_round_trip_with_empty_steps():

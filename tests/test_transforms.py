@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import os
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import groversim.transforms
@@ -185,56 +186,116 @@ def reshape_butterfly(amps: np.ndarray) -> np.ndarray:
 
 
 @st.composite
-def signed_zero_states(draw, min_n=1):
-    """Unnormalized states for n <= 7 whose parts are often +0.0 or -0.0."""
-    n = draw(st.integers(min_n, 7))
+def signed_zero_states(draw):
+    """Unnormalized states for n <= 7 whose parts are often +0.0 or -0.0;
+    about half of the sizes are drawn from n >= 4, where every layout
+    below runs more than one block or strip."""
+    n = draw(st.integers(1, 7) | st.integers(4, 7))
     part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
     parts = draw(st.lists(part, min_size=2 << n, max_size=2 << n))
     return AmplitudeVector(n, np.array(parts).view(np.complex128))
 
 
-def check_against_the_reshape_butterfly(state, data):
+# The butterfly's constants in each layout, named by what it runs in more
+# than one window at n=7: blocks, strips 2 wide, and (from n=3 at two
+# workers) half of each phase's windows on the worker thread.
+LAYOUTS = {
+    "as shipped": {},
+    "blocks of 4": {"_BLOCK_BITS": 2},
+    "blocks of 8": {"_BLOCK_BITS": 3},
+    "strips of 2, one worker": {"_BLOCK_BITS": 2, "_STRIP_BITS": 1, "_POOL_BITS": 3, "_WORKERS": 1},
+    "strips of 2, two workers": {"_BLOCK_BITS": 2, "_STRIP_BITS": 1, "_POOL_BITS": 3, "_WORKERS": 2},
+    "blocks of 8, strips of 2, two workers":
+        {"_BLOCK_BITS": 3, "_STRIP_BITS": 1, "_POOL_BITS": 3, "_WORKERS": 2},
+}
+
+
+@contextlib.contextmanager
+def recording_windows(layout, fail_on=None, delay=0.0):
+    """Patches the butterfly's constants to layout and yields a list of the
+    windows _ping_pong has run, each as (thread name, ndim, size). A window
+    on the thread fail_on raises RuntimeError instead, and one on the worker
+    first sleeps delay seconds, so that a caller that did not wait for the
+    worker would return before it."""
+    windows, real_ping_pong = [], groversim.transforms._ping_pong
+
+    def ping_pong(a, b, passes):
+        name = threading.current_thread().name
+        if name == fail_on:
+            raise RuntimeError(f"a part failed on {name}")
+        if delay and name != "MainThread":
+            time.sleep(delay)
+        real_ping_pong(a, b, passes)
+        windows.append((name, a.ndim, a.size))
+
+    with mock.patch.multiple(groversim.transforms, _ping_pong=ping_pong, **layout):
+        yield windows
+
+
+def threads(windows):
+    """The names of the threads that ran windows, in order."""
+    return [name for name, _, _ in windows]
+
+
+def check_every_route(state, marked, layouts):
+    """In each of layouts, every route through the butterfly against
+    reshape_butterfly, bit for bit: a copy and a spare's two buffers, for
+    state and for its float64 real part, which is also the real part of its
+    complex transform; grover_iteration on state with marked. Leaves state
+    untouched; returns the windows each layout ran."""
     before = state.amps.tobytes()
-    assert walsh_hadamard_fast(state).amps.tobytes() == reshape_butterfly(state.amps).tobytes()
-    marked = data.draw(st.frozensets(st.integers(0, state.size - 1)))
-    idx = np.array(sorted(marked), dtype=np.int64)
-    want = state.amps.copy()
-    want[idx] = -want[idx]
-    want = reshape_butterfly(want)
-    want[0] = -want[0]
-    want = reshape_butterfly(want)
-    assert grover_iteration(state, Oracle(state.n, marked=marked)).amps.tobytes() == want.tobytes()
+    real = AmplitudeVector(state.n, state.amps.real.copy())
+    widened = AmplitudeVector(state.n, real.amps.astype(np.complex128))
+    transformed = reshape_butterfly(state.amps)
+    wants = [(state, transformed.tobytes()), (real, reshape_butterfly(real.amps).tobytes())]
+    iterated, idx = state.amps.copy(), list(marked)
+    iterated[idx] = -iterated[idx]
+    # With nothing marked, the first transform is the state's own.
+    iterated = reshape_butterfly(iterated) if marked else transformed
+    iterated[0] = -iterated[0]
+    iterated = reshape_butterfly(iterated).tobytes()
+    ran = []
+    for layout in layouts:
+        with recording_windows(layout) as windows:
+            for vector, want in wants:
+                assert walsh_hadamard_fast(vector).amps.tobytes() == want
+                pair = vector.copy(), AmplitudeVector(vector.n, np.empty_like(vector.amps))
+                buffers = [v.amps for v in pair]
+                got = walsh_hadamard_fast(pair[0], spare=pair[1])
+                # The result sits in the state's buffer after an even number of passes.
+                assert got is pair[vector.n % 2]
+                assert all(v.amps is buffer for v, buffer in zip(pair, buffers))
+                assert got.amps.tobytes() == want
+            assert walsh_hadamard_fast(widened).amps.real.tobytes() == wants[1][1]
+            assert grover_iteration(state, Oracle(state.n, marked=marked)).amps.tobytes() == iterated
+        ran.append(windows)
     assert state.amps.tobytes() == before
+    return ran
 
 
 @settings(deadline=None, max_examples=200)
 @given(signed_zero_states(), st.data())
 def test_fast_transform_and_iteration_match_the_reshape_butterfly_bit_for_bit(state, data):
-    check_against_the_reshape_butterfly(state, data)
+    marked = data.draw(st.frozensets(st.integers(0, state.size - 1)))
+    for name, windows in zip(LAYOUTS, check_every_route(state, marked, LAYOUTS.values())):
+        # --hypothesis-show-statistics counts the draws past one window.
+        several = min(size for _, _, size in windows) < state.size
+        event(f"{name}: {'several windows' if several else 'one window'}")
 
 
-@settings(deadline=None, max_examples=100)
-@given(signed_zero_states(min_n=4), st.data())
-def test_blocked_passes_match_the_reshape_butterfly_bit_for_bit(state, data):
-    # Blocks of 4 and 8 amplitudes: every draw crosses blocks, with an even
-    # and an odd count of in-block passes.
-    for bits in (2, 3):
-        with mock.patch.object(groversim.transforms, "_BLOCK_BITS", bits):
-            check_against_the_reshape_butterfly(state, data)
-
-
-@settings(deadline=None, max_examples=100)
-@given(signed_zero_states(min_n=3), st.data())
-def test_shared_parts_match_the_reshape_butterfly_bit_for_bit(state, data):
-    # From n=3, blocks of 4 or 8 amplitudes and strips 2 wide: every draw
-    # crosses blocks and strips, and at two workers the thread runs half of
-    # each phase's parts.
-    real = AmplitudeVector(state.n, state.amps.real.copy())
-    for bits, workers in ((2, 1), (2, 2), (3, 2)):
-        with mock.patch.multiple(groversim.transforms, _BLOCK_BITS=bits, _STRIP_BITS=1,
-                                 _POOL_BITS=3, _WORKERS=workers):
-            check_against_the_reshape_butterfly(state, data)
-            assert walsh_hadamard_fast(real).amps.tobytes() == reshape_butterfly(real.amps).tobytes()
+def test_every_layout_is_reached():
+    # At n=7 a layout runs more than one of the blocks or strips it names,
+    # and with two workers runs windows on the worker thread.
+    state = random_unit_vector(np.random.default_rng(7), 7)
+    for name, layout in LAYOUTS.items():
+        with recording_windows(layout) as windows:
+            walsh_hadamard_fast(state)
+        if "blocks" in name:
+            assert sum(ndim == 1 for _, ndim, _ in windows) > 1, name
+        if "strips" in name:
+            assert sum(ndim == 2 for _, ndim, _ in windows) > 1, name
+        if "two workers" in name:
+            assert "groversim-butterfly" in threads(windows), name
 
 
 def signed_zero_parts(n, seed):
@@ -248,21 +309,12 @@ def signed_zero_parts(n, seed):
 
 
 def test_fast_transform_past_one_block_matches_the_reshape_butterfly():
-    # At the real block, strip and pool sizes: n=17 has two blocks and four
-    # strips, n=20 sixteen blocks and four-pass strips.
+    # At the real block, strip and pool sizes, at one worker and two: n=17
+    # has two blocks and four strips, n=20 sixteen blocks and four-pass strips.
     assert 17 > groversim.transforms._BLOCK_BITS
     for n in (17, 20):
-        parts = signed_zero_parts(n, n)
-        for amps in (parts.view(np.complex128), parts[:1 << n]):
-            state = AmplitudeVector(n, amps)
-            want = reshape_butterfly(state.amps).tobytes()
-            for workers in (1, 2):
-                with mock.patch.object(groversim.transforms, "_WORKERS", workers):
-                    assert walsh_hadamard_fast(state).amps.tobytes() == want
-                    pair = state.copy(), AmplitudeVector(n, np.empty_like(state.amps))
-                    got = walsh_hadamard_fast(pair[0], spare=pair[1])
-                assert got is pair[n % 2]
-                assert got.amps.tobytes() == want
+        state = AmplitudeVector(n, signed_zero_parts(n, n).view(np.complex128))
+        check_every_route(state, frozenset(), [{"_WORKERS": 1}, {"_WORKERS": 2}])
 
 
 def pooled_state():
@@ -271,35 +323,14 @@ def pooled_state():
     return AmplitudeVector(n, signed_zero_parts(n, n)[:1 << n])
 
 
-def threads_running_passes(monkeypatch, fail_on=None):
-    """Records the name of each thread that runs a pass of the butterfly;
-    the passes on fail_on raise RuntimeError, and the others on the worker
-    first sleep 50 ms, so that a caller that did not wait for the worker
-    would return before it."""
-    names, real_ping_pong = [], groversim.transforms._ping_pong
-
-    def ping_pong(a, b, passes):
-        name = threading.current_thread().name
-        if name == fail_on:
-            raise RuntimeError(f"a part failed on {name}")
-        if name != "MainThread":
-            time.sleep(0.05)
-        real_ping_pong(a, b, passes)
-        names.append(name)
-
-    monkeypatch.setattr(groversim.transforms, "_ping_pong", ping_pong)
-    return names
-
-
-def test_the_worker_runs_half_of_the_parts_from_the_pool_size(monkeypatch):
-    monkeypatch.setattr(groversim.transforms, "_WORKERS", 2)
-    names = threads_running_passes(monkeypatch)
-    walsh_hadamard_fast(pooled_state())
-    # Two blocks, then two strips.
-    assert sorted(names) == ["MainThread"] * 2 + ["groversim-butterfly"] * 2
-    names.clear()
-    walsh_hadamard_fast(random_unit_vector(np.random.default_rng(5), 15))
-    assert set(names) == {"MainThread"}
+def test_the_worker_runs_half_of_the_parts_from_the_pool_size():
+    with recording_windows({"_WORKERS": 2}, delay=0.05) as windows:
+        walsh_hadamard_fast(pooled_state())
+        # Two blocks, then two strips.
+        assert sorted(threads(windows)) == ["MainThread"] * 2 + ["groversim-butterfly"] * 2
+        windows.clear()
+        walsh_hadamard_fast(random_unit_vector(np.random.default_rng(5), 15))
+    assert set(threads(windows)) == {"MainThread"}
 
 
 def test_the_worker_keeps_no_buffer_alive(monkeypatch):
@@ -317,39 +348,33 @@ def test_the_worker_keeps_no_buffer_alive(monkeypatch):
 def test_a_part_that_fails_here_waits_for_the_worker(monkeypatch):
     monkeypatch.setattr(groversim.transforms, "_WORKERS", 2)
     state = pooled_state()
-    want = reshape_butterfly(state.amps).tobytes()
-    real_ping_pong = groversim.transforms._ping_pong
-    names = threads_running_passes(monkeypatch, fail_on="MainThread")
-    with pytest.raises(RuntimeError, match="a part failed on MainThread"):
-        walsh_hadamard_fast(state)
+    with recording_windows({}, "MainThread", 0.05) as windows:
+        with pytest.raises(RuntimeError, match="a part failed on MainThread"):
+            walsh_hadamard_fast(state)
     # The worker's block was done before the caller's exception came out.
-    assert names == ["groversim-butterfly"]
-    monkeypatch.setattr(groversim.transforms, "_ping_pong", real_ping_pong)
-    assert walsh_hadamard_fast(state).amps.tobytes() == want
+    assert threads(windows) == ["groversim-butterfly"]
+    assert walsh_hadamard_fast(state).amps.tobytes() == reshape_butterfly(state.amps).tobytes()
 
 
 def test_a_part_that_fails_on_the_worker_raises_in_the_caller(monkeypatch):
     monkeypatch.setattr(groversim.transforms, "_WORKERS", 2)
     state = pooled_state()
-    want = reshape_butterfly(state.amps).tobytes()
-    real_ping_pong = groversim.transforms._ping_pong
-    names = threads_running_passes(monkeypatch, fail_on="groversim-butterfly")
     pair = state.copy(), AmplitudeVector(state.n, np.empty_like(state.amps))
     buffers = [weakref.ref(vector.amps) for vector in pair]
     # The exception's traceback holds views of both buffers: they go with
     # it, and no reference cycle keeps them for the collector.
     gc.disable()
     try:
-        with pytest.raises(RuntimeError, match="a part failed on groversim-butterfly"):
-            walsh_hadamard_fast(pair[0], spare=pair[1])
+        with recording_windows({}, "groversim-butterfly", 0.05) as windows:
+            with pytest.raises(RuntimeError, match="a part failed on groversim-butterfly"):
+                walsh_hadamard_fast(pair[0], spare=pair[1])
         del pair
         alive = [buffer() is not None for buffer in buffers]
     finally:
         gc.enable()
     assert alive == [False, False]
-    assert names == ["MainThread"]
-    monkeypatch.setattr(groversim.transforms, "_ping_pong", real_ping_pong)
-    assert walsh_hadamard_fast(state).amps.tobytes() == want
+    assert threads(windows) == ["MainThread"]
+    assert walsh_hadamard_fast(state).amps.tobytes() == reshape_butterfly(state.amps).tobytes()
 
 
 def test_a_transform_that_finds_the_worker_busy_runs_all_its_parts(monkeypatch):
@@ -357,14 +382,26 @@ def test_a_transform_that_finds_the_worker_busy_runs_all_its_parts(monkeypatch):
     state = pooled_state()
     walsh_hadamard_fast(state)
     worker = groversim.transforms._worker
-    names = threads_running_passes(monkeypatch)
     assert worker.busy.acquire(blocking=False)
     try:
-        got = walsh_hadamard_fast(state)
+        with recording_windows({}) as windows:
+            got = walsh_hadamard_fast(state)
     finally:
         worker.busy.release()
-    assert names == ["MainThread"] * 4
+    assert threads(windows) == ["MainThread"] * 4
     assert got.amps.tobytes() == reshape_butterfly(state.amps).tobytes()
+
+
+def test_a_transform_whose_thread_is_refused_runs_all_its_parts(monkeypatch):
+    # Where the system has no thread to give, Thread.start raises.
+    monkeypatch.setattr(threading.Thread, "start",
+                        mock.Mock(side_effect=RuntimeError("can't start new thread")))
+    monkeypatch.setattr(groversim.transforms, "_WORKERS", 2)
+    monkeypatch.setattr(groversim.transforms, "_worker", None)
+    state = pooled_state()
+    with recording_windows({}) as windows:
+        assert walsh_hadamard_fast(state).amps.tobytes() == reshape_butterfly(state.amps).tobytes()
+    assert threads(windows) == ["MainThread"] * 4
 
 
 def test_threads_transforming_at_once_all_get_the_right_bytes():
@@ -443,19 +480,6 @@ def test_the_worker_imports_nothing_and_one_worker_starts_no_thread():
     assert done.stdout.split("\n") == ["0", "[] 1", ""]
 
 
-@settings(deadline=None, max_examples=100)
-@given(signed_zero_states())
-def test_fast_transform_with_a_spare_runs_in_the_two_buffers(state):
-    want = walsh_hadamard_fast(state).amps.tobytes()
-    spare = AmplitudeVector(state.n, np.empty_like(state.amps))
-    buffers = (state.amps, spare.amps)
-    got = walsh_hadamard_fast(state, spare=spare)
-    # The result sits in state's buffer after an even number of passes.
-    assert got is (state if state.n % 2 == 0 else spare)
-    assert (state.amps, spare.amps) == buffers
-    assert got.amps.tobytes() == want
-
-
 def test_fast_transform_rejects_a_spare_that_is_not_a_separate_buffer():
     v = uniform_state(3)
     for spare in (v, AmplitudeVector(3, v.amps), uniform_state(2)):
@@ -468,18 +492,6 @@ def test_fast_transform_rejects_a_spare_of_another_dtype():
     for state, spare in ((real, uniform_state(3)), (uniform_state(3), AmplitudeVector(3, np.empty(8)))):
         with pytest.raises(ValueError, match="spare must be a separate vector"):
             walsh_hadamard_fast(state, spare=spare)
-
-
-@settings(deadline=None, max_examples=100)
-@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
-def test_fast_transform_of_a_real_vector_is_the_real_part_bit_for_bit(n, seed):
-    amps = np.random.default_rng(seed).normal(size=1 << n)
-    amps[::3] = 0.0
-    amps[1::5] = -0.0
-    real = walsh_hadamard_fast(AmplitudeVector(n, amps))
-    full = walsh_hadamard_fast(AmplitudeVector(n, amps.astype(np.complex128)))
-    assert real.amps.dtype == np.float64
-    assert real.amps.tobytes() == full.amps.real.tobytes()
 
 
 def test_phase_flips_in_place_negate_the_state_itself():
