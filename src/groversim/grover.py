@@ -25,7 +25,13 @@ from .state import (
     _require_qubits,
     measure,
 )
-from .transforms import _check_width, invert_phase_marked, invert_phase_zero, walsh_hadamard_fast
+from .transforms import (
+    _check_width,
+    _uniform_amplitude,
+    invert_phase_marked,
+    invert_phase_zero,
+    walsh_hadamard_fast,
+)
 # Unused here, but bench/spans.py patches it under this name.
 from .state import basis_state  # noqa: F401
 
@@ -123,24 +129,25 @@ def roman_numeral(value: int) -> str:
 def _step_states(n: int, oracle: Oracle, iterations: int, real: int) -> Iterator[AmplitudeVector]:
     """Run the search's literal steps (flip marked, transform, flip zero,
     transform) in two vectors of 2**n amplitudes, and yield the vector that
-    holds the state: first the transform of basis state 0, written into the
-    first vector, then the state after each step. A yielded vector is
+    holds the state: first the start state, then the state after each step.
+    The start state is the transform of basis state 0, written into the
+    first vector as the one value that transform gives every amplitude,
+    bit for bit, so no transform runs for it. A yielded vector is
     overwritten by the steps after it; copy it to keep it.
 
     With real > 0, the start state and the first `real` iterations run on
     float64 buffers, which hold the real parts of the complex run's
     vectors bit for bit: from |0> the steps never leave the reals. The
     state is then widened to complex128 for the remaining iterations. The
-    real spare is dropped before the widening, and the complex spare is
-    allocated only after the first complex step is yielded, when the
-    caller has let go of the last real vector; so the peak stays at two
-    complex vectors.
+    second vector is allocated by the first transform, the real one is
+    dropped before the widening, and the complex one is allocated only
+    after the first complex step is yielded, when the caller has let go
+    of the last real vector; so the peak stays at two complex vectors.
 
     Every step is a call of a public function by its name in this module,
     where a profiler can wrap it and see each step."""
-    state = AmplitudeVector(n, np.zeros(1 << n, np.float64 if real else np.complex128))
-    state.amps[0] = 1.0
-    state, spare = _transform_in_pair(state)
+    dtype = np.float64 if real else np.complex128
+    state, spare = AmplitudeVector(n, np.full(1 << n, _uniform_amplitude(n), dtype)), None
     yield state
     for i in range(iterations):
         if real and i == real:
@@ -199,12 +206,12 @@ def _above_power_of_two(x: int, k: int) -> bool:
 def run_grover(config: GroverConfig, trace: TextIO | None = None) -> SimulationTrace:
     """Run the full search and measure once at the end.
 
-    The state starts as the transform of basis state 0, runs the four-step
-    iteration the resolved number of times, then measures with a fresh
-    generator seeded from config.seed. Given a text file, trace receives
-    the run's trace document as the run goes: the initialized state and
-    every step of every iteration, each checked by the writer as
-    TraceDocument checks it.
+    The state starts as the transform of basis state 0, written in closed
+    form, runs the four-step iteration the resolved number of times, then
+    measures with a fresh generator seeded from config.seed. Given a text
+    file, trace receives the run's trace document as the run goes: the
+    initialized state and every step of every iteration, each checked by
+    the writer as TraceDocument checks it.
     A trace of more than 2**max_qubits amplitudes and label characters in
     all raises ResourceLimitError before anything is written or allocated.
 

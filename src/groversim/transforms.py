@@ -117,22 +117,43 @@ _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 _SCALE = 1.0 / math.sqrt(2.0)
 
 
+def _uniform_amplitude(n: int) -> float:
+    """Every amplitude of walsh_hadamard_fast(basis_state(n, 0)), of either
+    dtype: each pass adds 0 to the one value or subtracts 0 from it, both
+    exact, so only the scale rounds, once per pass."""
+    value = 1.0
+    for _ in range(n):
+        value *= _SCALE
+    return value
+
+
 def _ping_pong(a: np.ndarray, b: np.ndarray, passes: int) -> None:
     """Run passes over the lowest bits of the row index of a, from a into b
-    and back; the result is in a if passes is even, else in b."""
+    and back; the result is in a if passes is even, else in b.
+
+    A pass is a Stockham autosort step: it always reads the even and odd
+    rows of its source and writes the low and high halves of the other
+    buffer, so each direction has one set of four views. They are built
+    once here, the second set only if a second pass runs, and the passes
+    alternate between the two sets."""
     half = len(a) >> 1
-    for _ in range(passes):
-        lo, hi = a[0::2], a[1::2]
-        np.add(lo, hi, out=b[:half])
-        np.subtract(lo, hi, out=b[half:])
-        b *= _SCALE
-        a, b = b, a
+    there = a[0::2], a[1::2], b[:half], b[half:], b
+    back = (b[0::2], b[1::2], a[:half], a[half:], a) if passes > 1 else there
+    for k in range(passes):
+        lo, hi, low, high, out = back if k & 1 else there
+        np.add(lo, hi, low)
+        np.subtract(lo, hi, high)
+        np.multiply(out, _SCALE, out)
 
 
 def _parts(x: np.ndarray, y: np.ndarray, passes: int, width: int, first: int, stop: int) -> None:
     """Run the passes over the row bits of x and y on their column windows
     first..stop-1, width wide, each window through all of them in turn: a
-    window of the 1-d buffers is a block, of their 2-d views a strip."""
+    window of the 1-d buffers is a block, of their 2-d views a strip. A lone
+    window as wide as the buffers is run on them, with no view."""
+    if width == x.shape[-1]:
+        _ping_pong(x, y, passes)
+        return
     for start in range(first * width, stop * width, width):
         _ping_pong(x[..., start:start + width], y[..., start:start + width], passes)
 
@@ -238,25 +259,32 @@ def walsh_hadamard_fast(
     min(n - 1, 16) when the worker thread runs, so that n=16 has two blocks.
     Bits m..n-1 then take them over the rows of the vector viewed as
     (2**(n-m), 2**m), one column strip of 2**14 at a time. Each block or
-    strip is a window, the columns [s, s + w) of the buffer or of the view.
+    strip is a window, the columns [s, s + w) of the buffer or of the view;
+    a lone window as wide as the buffer is the buffer itself. A window
+    builds the views its passes read and write once, four per direction,
+    and its passes alternate between the two sets.
     From n=16, with two CPUs, the worker thread runs half of the blocks and
     then half of the strips. Each window adds the same operands in the same
     bit order at any blocking, strip width or worker count, so the bytes do
     not depend on them; the views need no temporaries.
 
-    Without spare, the input is left untouched and the result is new. With
+    Without spare, the input is left untouched: the passes run in a copy of
+    it and a new buffer, and the one that holds the result is returned as a
+    new vector. With
     spare, a separate vector of the same size and dtype whose amplitudes
     are free, the passes run in the two buffers and allocate nothing: both
     are overwritten, and the result is in spare if n is odd, else in state.
     A float64 state is transformed in float64; the result equals, bit for
     bit, the real part of the transform of the same vector in complex128.
     """
+    n = state.n
     if spare is None:
-        state, spare = state.copy(), AmplitudeVector(state.n, np.empty_like(state.amps))
-    elif (spare.n != state.n or spare.amps.dtype != state.amps.dtype
+        a, b = state.amps.copy(), np.empty_like(state.amps)
+    elif (spare.n != n or spare.amps.dtype != state.amps.dtype
           or np.may_share_memory(spare.amps, state.amps)):
         raise ValueError("spare must be a separate vector of the same size and dtype as the state")
-    a, b, n = state.amps, spare.amps, state.n
+    else:
+        a, b = state.amps, spare.amps
     pooled = n >= _POOL_BITS and _WORKERS > 1
     m = min(n - pooled, _BLOCK_BITS)
     _run(a, b, m, 1 << m, 1 << (n - m), pooled)
@@ -264,6 +292,8 @@ def walsh_hadamard_fast(
         x, y = (b, a) if m & 1 else (a, b)
         strip = min(m, _STRIP_BITS)
         _run(x.reshape(-1, 1 << m), y.reshape(-1, 1 << m), n - m, 1 << strip, 1 << (m - strip), pooled)
+    if spare is None:
+        return AmplitudeVector(n, b if n & 1 else a)
     return spare if n & 1 else state
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import math
 import os
 import sys
@@ -317,6 +318,27 @@ def test_fast_transform_past_one_block_matches_the_reshape_butterfly():
         check_every_route(state, frozenset(), [{"_WORKERS": 1}, {"_WORKERS": 2}])
 
 
+# One sha256 over every result of test_the_butterfly_keeps_its_bytes at
+# 9b0a32d, whose butterfly sliced each pass's four views anew.
+BUTTERFLY_GOLDEN = "91bc56e782977c3e4e0ae219aa501d7a3489e07faec77d2d911c0e2226bffc0f"
+
+
+def test_the_butterfly_keeps_its_bytes(monkeypatch):
+    # The layout property covers n <= 7 and the reshape test n = 17 and 20;
+    # this pins every size from 1 to 20, each over one block, then strips,
+    # then (from n=16 at two workers) the worker thread.
+    digest = hashlib.sha256()
+    for n in range(1, 21):
+        parts = signed_zero_parts(n, n)
+        for amps in (parts[:1 << n], parts.view(np.complex128)):
+            for workers in (1, 2):
+                monkeypatch.setattr(groversim.transforms, "_WORKERS", workers)
+                digest.update(walsh_hadamard_fast(AmplitudeVector(n, amps)).amps.tobytes())
+                pair = AmplitudeVector(n, amps.copy()), AmplitudeVector(n, np.empty_like(amps))
+                digest.update(walsh_hadamard_fast(pair[0], spare=pair[1]).amps.tobytes())
+    assert digest.hexdigest() == BUTTERFLY_GOLDEN
+
+
 def pooled_state():
     """A float64 state at the size from which the worker thread runs."""
     n = groversim.transforms._POOL_BITS
@@ -343,6 +365,27 @@ def test_the_worker_keeps_no_buffer_alive(monkeypatch):
     walsh_hadamard_fast(state, spare=spare)
     del state, spare
     assert [buffer() for buffer in buffers] == [None, None]
+
+
+def test_a_transform_keeps_no_view_of_its_buffers():
+    # Each window builds its two sets of pass views and drops them: 14
+    # passes that each kept four views of about 100 bytes would pass 4 KiB,
+    # and a view kept past the call would keep its buffer alive.
+    n = 14
+    state = random_unit_vector(np.random.default_rng(14), n)
+    spare = AmplitudeVector(n, np.empty_like(state.amps))
+    walsh_hadamard_fast(state, spare=spare)
+    buffers = [weakref.ref(state.amps), weakref.ref(spare.amps)]
+    gc.disable()
+    try:
+        with MemoryProbe() as probe:
+            walsh_hadamard_fast(state, spare=spare)
+        del state, spare
+        alive = [buffer() is not None for buffer in buffers]
+    finally:
+        gc.enable()
+    assert alive == [False, False]
+    assert probe.peak - probe.start < 4 << 10
 
 
 def test_a_part_that_fails_here_waits_for_the_worker(monkeypatch):
