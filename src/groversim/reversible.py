@@ -24,6 +24,13 @@ from .state import _as_int, _is_permutation
 GATE_CONTROL_COUNTS = {"NOT": 0, "CNOT": 1, "TOFFOLI": 2}
 
 
+def _as_tuple(value: object, where: str) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{where}: expected a sequence, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Gate:
     """One reversible gate; controls are distinct from the target."""
@@ -33,12 +40,15 @@ class Gate:
     controls: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, str):
+            raise ValueError(f"kind: expected a string, got {self.kind!r}")
         if self.kind not in GATE_CONTROL_COUNTS:
             raise ValueError(
                 f"unknown gate kind {self.kind!r}; expected one of {sorted(GATE_CONTROL_COUNTS)}"
             )
         _as_int(self.target, "target", 0)
-        controls = tuple(_as_int(c, f"controls[{j}]", 0) for j, c in enumerate(self.controls))
+        controls = _as_tuple(self.controls, "controls")
+        controls = tuple(_as_int(c, f"controls[{j}]", 0) for j, c in enumerate(controls))
         object.__setattr__(self, "controls", controls)
         want = GATE_CONTROL_COUNTS[self.kind]
         if len(self.controls) != want:
@@ -69,8 +79,10 @@ class ReversibleCircuit:
 
     def __post_init__(self) -> None:
         _as_int(self.wires, "wires", 1)
-        object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "gates", _as_tuple(self.gates, "gates"))
         for i, gate in enumerate(self.gates):
+            if not isinstance(gate, Gate):
+                raise ValueError(f"gates[{i}]: expected a Gate, got {gate!r}")
             top = max((gate.target, *gate.controls))
             if top >= self.wires:
                 raise ValueError(

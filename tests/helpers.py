@@ -1,7 +1,9 @@
 """Fixtures that several test files share: a traced run read back, the
 four-state trace and two-qubit sign table worked by hand, a seeded random
-circuit and unit vector, the closed-form success curve, the benchmark's
-modules, a memory probe around a block and a command run in a new process."""
+circuit and unit vector, `circuits`, the Hypothesis strategy of circuits
+that test_reversible.py and test_documents.py draw from, the closed-form
+success curve, the benchmark's modules, a memory probe around a block and a
+command run in a new process."""
 import importlib.util
 import io
 import math
@@ -12,8 +14,10 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from groversim import AmplitudeVector, Gate, ReversibleCircuit, parse_trace_document, run_grover
+from groversim.reversible import GATE_CONTROL_COUNTS
 
 # The four-state search with marked={2} and one iteration, worked by hand:
 # snapshot after init, then after each of the four steps.
@@ -45,14 +49,27 @@ def traced(config):
 def random_circuit(rng, wires, gates):
     """gates drawn from rng, each of a kind that fits the wires, on
     distinct wires."""
-    touched = {"NOT": 1, "CNOT": 2, "TOFFOLI": 3}
-    kinds = [kind for kind, want in touched.items() if want <= wires]
+    kinds = [kind for kind, count in GATE_CONTROL_COUNTS.items() if count < wires]
     out = []
     for _ in range(gates):
         kind = str(rng.choice(kinds))
-        picks = rng.choice(wires, size=touched[kind], replace=False)
+        picks = rng.choice(wires, size=GATE_CONTROL_COUNTS[kind] + 1, replace=False)
         out.append(Gate(kind, int(picks[0]), tuple(int(c) for c in picks[1:])))
     return ReversibleCircuit(wires, tuple(out))
+
+
+@st.composite
+def circuits(draw, max_wires):
+    """1 to max_wires wires and 0 to 12 gates, each of a kind that fits the
+    wires."""
+    wires = draw(st.integers(1, max_wires))
+    kinds = [kind for kind, count in GATE_CONTROL_COUNTS.items() if count < wires]
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        touched = draw(st.permutations(range(wires)))[:GATE_CONTROL_COUNTS[kind] + 1]
+        gates.append(Gate(kind, touched[0], tuple(touched[1:])))
+    return ReversibleCircuit(wires, tuple(gates))
 
 
 def random_unit_vector(rng, n):

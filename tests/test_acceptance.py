@@ -7,6 +7,7 @@ Tolerances and runtime budgets are stated inline next to each assertion.
 import math
 import time
 from contextlib import contextmanager
+from itertools import combinations
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from groversim import (
     wh_matrix_entry,
 )
 from groversim.reversible import Gate, ReversibleCircuit
-from helpers import FOUR_STATE_TRACE, SIGN_TABLE, random_unit_vector, traced
+from helpers import FOUR_STATE_TRACE, SIGN_TABLE, random_circuit, random_unit_vector, traced
 
 
 @contextmanager
@@ -181,16 +182,10 @@ def test_criterion_09_reversible_layer():
 
         def placements(wires):
             for target in range(wires):
+                others = [w for w in range(wires) if w != target]
                 yield Gate.not_(target)
-            for target in range(wires):
-                for control in range(wires):
-                    if control != target:
-                        yield Gate.cnot(control, target)
-            for target in range(wires):
-                for a in range(wires):
-                    for b in range(a + 1, wires):
-                        if target not in (a, b):
-                            yield Gate.toffoli(a, b, target)
+                yield from (Gate.cnot(control, target) for control in others)
+                yield from (Gate.toffoli(a, b, target) for a, b in combinations(others, 2))
 
         for wires in range(1, 13):
             identity = np.arange(1 << wires)
@@ -202,22 +197,10 @@ def test_criterion_09_reversible_layer():
         rng = np.random.default_rng(41)
         for _ in range(25):
             wires = int(rng.integers(3, 13))
-            gates = []
-            for _ in range(int(rng.integers(1, 21))):
-                kind = int(rng.integers(3))
-                spots = rng.permutation(wires)
-                if kind == 0:
-                    gates.append(Gate.not_(int(spots[0])))
-                elif kind == 1:
-                    gates.append(Gate.cnot(int(spots[0]), int(spots[1])))
-                else:
-                    gates.append(Gate.toffoli(int(spots[0]), int(spots[1]), int(spots[2])))
-            circuit = ReversibleCircuit(wires, tuple(gates))
+            circuit = random_circuit(rng, wires, int(rng.integers(1, 21)))
             perm = circuit_to_permutation(circuit)
             assert np.array_equal(np.sort(perm), np.arange(1 << wires))
-            round_trip = ReversibleCircuit(
-                wires, circuit.gates + inverse_circuit(circuit).gates
-            )
+            round_trip = ReversibleCircuit(wires, circuit.gates + inverse_circuit(circuit).gates)
             assert np.array_equal(circuit_to_permutation(round_trip), np.arange(1 << wires))
 
 

@@ -34,8 +34,7 @@ from groversim.documents import (
     _parse_trace_json,
     _read_written_trace,
 )
-from groversim.reversible import GATE_CONTROL_COUNTS
-from helpers import MemoryProbe, load_bench, traced
+from helpers import MemoryProbe, circuits, load_bench, traced
 
 ADDER_DOC = """{
   "format_version": "1",
@@ -801,21 +800,8 @@ def render_circuit_lines(circuit):
     return "\n".join(lines)
 
 
-@st.composite
-def circuits(draw):
-    """1-8 wires and 0-12 gates, each of a kind that fits the wires."""
-    wires = draw(st.integers(1, 8))
-    kinds = [kind for kind, count in GATE_CONTROL_COUNTS.items() if count < wires]
-    gates = []
-    for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(kinds))
-        touched = draw(st.permutations(range(wires)))[:GATE_CONTROL_COUNTS[kind] + 1]
-        gates.append(Gate(kind, touched[0], tuple(touched[1:])))
-    return ReversibleCircuit(wires, tuple(gates))
-
-
 @settings(deadline=None, max_examples=300)
-@given(circuits())
+@given(circuits(8))
 def test_every_circuit_renders_as_the_line_list_renderer_did_and_round_trips(circuit):
     text = render_circuit_document(circuit)
     assert text == render_circuit_lines(circuit)
